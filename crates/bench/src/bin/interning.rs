@@ -104,13 +104,11 @@ fn main() {
             auto_parallelize(&case.program, &case.fns, &schema, &Hints::new(), Options::default())
                 .unwrap()
         });
-        let plan = Partir::new(case.program.clone(), case.fns.clone(), schema)
-            .build()
-            .unwrap()
-            .into_plan();
+        let solved = Partir::new(case.program.clone(), case.fns.clone(), schema).solve().unwrap();
+        let plan = solved.parallel_plan();
         let eval_interned_ms =
             median_ms(|| plan.evaluate(&case.store, &case.fns, EVAL_COLORS, &exts));
-        let eval_tree_ms = median_ms(|| eval_tree_baseline(&plan, &case.store, &case.fns, &exts));
+        let eval_tree_ms = median_ms(|| eval_tree_baseline(plan, &case.store, &case.fns, &exts));
         let speedup = if eval_interned_ms > 0.0 { eval_tree_ms / eval_interned_ms } else { 0.0 };
         let (_, eval_stats) = plan.evaluate_with_stats(&case.store, &case.fns, EVAL_COLORS, &exts);
         let (interned, dedup_hits) = plan.system.arena.counters();

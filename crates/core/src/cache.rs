@@ -135,7 +135,7 @@ struct Memos {
     dist: Memo<DistKey, Arc<DistArtifacts>>,
 }
 
-/// An immutable solved plan, shareable across threads and sessions.
+/// An immutable solved plan, shareable across threads and runs.
 ///
 /// Everything a run needs travels with the plan, so a cache hit is
 /// self-contained: callers bring only a store (whose schema must match)
@@ -366,7 +366,7 @@ struct Inner {
 
 /// A byte-accounted LRU of solved plans, keyed on [`solve_fingerprint`].
 /// Cloning shares the cache (it's an `Arc` handle), so one cache can back
-/// many sessions and server workers.
+/// many runs and server workers.
 #[derive(Clone)]
 pub struct PlanCache {
     inner: Arc<Mutex<Inner>>,

@@ -192,8 +192,8 @@ impl PlacementConfig {
 
     /// Defaults from the `PARTIR_PLACEMENT*` environment variables (parsed
     /// in [`partir_obs::config::placement_env`], the single env-reading
-    /// site). `None` when no placement variable is set at all — the
-    /// builder then falls back to [`PlacementConfig::default`].
+    /// site). `None` when no placement variable is set at all — a run
+    /// then falls back to [`PlacementConfig::default`].
     pub fn from_env() -> Option<PlacementConfig> {
         let e = partir_obs::config::placement_env()?;
         let mut c = PlacementConfig {

@@ -1,7 +1,7 @@
 //! Explicit observability / fault / rank configuration — and the single
 //! place where `PARTIR_*` environment variables are parsed.
 //!
-//! The builder API (`partir::Partir`) passes [`ObsConfig`] and the fault
+//! The run API (`partir::Run`) passes [`ObsConfig`] and the fault
 //! settings explicitly; the environment variables remain supported as
 //! *defaults only*, parsed here and nowhere else:
 //!
@@ -34,7 +34,7 @@
 //! | `PARTIR_SERVE_CACHE_BYTES` | plan-cache LRU capacity in bytes | [`serve_env`] |
 //!
 //! Direct env sniffing elsewhere in the workspace is deprecated; new code
-//! should take these structs through the builder.
+//! should take these structs through `partir::Run`.
 
 use crate::StderrSink;
 use std::sync::Arc;
@@ -55,7 +55,7 @@ pub struct ObsConfig {
     /// phase (pack/send/recv-wait/unpack/compute/merge) is recorded as a
     /// [`crate::trace::TraceSpan`], exportable as a Chrome trace and
     /// analyzable into the `dist_profile` critical-path breakdown.
-    /// Independent of `trace` — timelines go to the session, not a sink.
+    /// Independent of `trace` — timelines go to the run outcome, not a sink.
     pub timeline: bool,
     /// Error (instead of just reporting a delta) when measured bytes on
     /// any `(src, dst)` pair disagree with what the `ExchangePlan`
@@ -87,7 +87,7 @@ impl ObsConfig {
     /// is already installed (so programmatic [`crate::install_sink`]
     /// callers — tests, report harnesses — always win). `timeline` and
     /// `strict_volume` need no sink; the rank backend reads them from the
-    /// session directly.
+    /// run configuration directly.
     pub fn apply(&self) {
         if self.trace || self.metrics {
             crate::install_default_sink(Arc::new(StderrSink), self.trace, self.metrics);

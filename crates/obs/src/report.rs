@@ -94,12 +94,13 @@ pub const ERROR_CODES: &[&str] = &[
     "sim.missing_region_size",
     "sim.home_width_mismatch",
     "sim.iter_width_mismatch",
-    // builder
+    // solve or run configuration
     "session.invalid",
     // serving layer (`partir::serve`)
     "serve.over_budget",
     "serve.queue_full",
     "serve.disconnected",
+    "serve.internal",
     // plan cache (`partir-core::cache`)
     "cache.poisoned",
 ];

@@ -16,6 +16,8 @@
 //! whole epochs here since the rank backend checkpoints at epoch
 //! boundaries (the only globally consistent cut the protocol has).
 
+use crate::fault::hash4;
+
 /// Whole-rank crash injection: the victim stops at the top of `epoch`,
 /// before sending or computing anything for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,8 +56,8 @@ impl DistFaultPlan {
     /// Builds a plan from `PARTIR_DIST_FAULT_*` — parsed in exactly one
     /// place, [`partir_obs::config::dist_fault_env`] — for CI fault-matrix
     /// runs. Returns `None` when `PARTIR_DIST_FAULT_SEED` is unset. New
-    /// code should pass a `DistFaultPlan` explicitly through the
-    /// `partir::Partir` builder.
+    /// code should pass a `DistFaultPlan` explicitly through
+    /// `partir::Run::dist_fault`.
     pub fn from_env() -> Option<DistFaultPlan> {
         let env = partir_obs::config::dist_fault_env()?;
         Some(DistFaultPlan {
@@ -156,21 +158,6 @@ impl CheckpointPolicy {
 #[inline]
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// splitmix64-style finalizer: the standard 64-bit avalanche mix.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Hashes four coordinates into one well-mixed word.
-#[inline]
-fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
-    mix(mix(mix(mix(a) ^ b) ^ c) ^ d)
 }
 
 #[cfg(test)]

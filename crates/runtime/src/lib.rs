@@ -23,7 +23,7 @@ pub mod sim;
 pub mod prelude {
     pub use crate::dist::{
         execute_dist, execute_with_exchange, CheckpointPolicy, DistError, DistFaultPlan,
-        DistOptions, DistReport, DistViolation, RankCrash, RankStore,
+        DistOptions, DistReport, DistViolation, LegalityMode, RankCrash, RankStore,
     };
     pub use crate::exec::{execute_program, ExecError, ExecOptions, ExecReport, LegalityViolation};
     pub use crate::fault::{FaultPlan, RetryPolicy};

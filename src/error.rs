@@ -19,7 +19,7 @@ use std::fmt;
 
 /// Failures of the serving layer ([`crate::serve`]), each with its own
 /// stable code so clients can branch on admission-control outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The request's solve exhausted the server's admission
     /// [`SolveBudget`](partir_core::solve::SolveBudget) and would have
@@ -32,6 +32,10 @@ pub enum ServeError {
     /// The worker processing the request went away before replying —
     /// the server was shut down mid-request (`serve.disconnected`).
     Disconnected,
+    /// Processing the request panicked (`serve.internal`), e.g. on a
+    /// malformed program. The worker survives and keeps serving; the
+    /// payload is the panic message.
+    Internal(String),
 }
 
 impl fmt::Display for ServeError {
@@ -46,6 +50,7 @@ impl fmt::Display for ServeError {
             ServeError::Disconnected => {
                 write!(f, "serve worker disconnected before replying")
             }
+            ServeError::Internal(m) => write!(f, "serve worker panicked on the request: {m}"),
         }
     }
 }
@@ -67,8 +72,8 @@ pub enum Error {
     Dist(DistError),
     /// Machine-model simulator failure (`sim.*`).
     Sim(SimError),
-    /// Builder misuse: an inconsistent or impossible session configuration
-    /// (`session.invalid`).
+    /// An inconsistent or impossible solve or run configuration, rejected
+    /// before any work (`session.invalid`).
     Session(String),
     /// Serving-layer failure (`serve.*`).
     Serve(ServeError),
@@ -129,6 +134,7 @@ impl Error {
                 ServeError::OverBudget => "serve.over_budget",
                 ServeError::QueueFull { .. } => "serve.queue_full",
                 ServeError::Disconnected => "serve.disconnected",
+                ServeError::Internal(_) => "serve.internal",
             },
             Error::Cache(CacheError::Poisoned) => "cache.poisoned",
         }
@@ -314,6 +320,7 @@ mod tests {
             Error::Serve(ServeError::OverBudget),
             Error::Serve(ServeError::QueueFull { cap: 64 }),
             Error::Serve(ServeError::Disconnected),
+            Error::Serve(ServeError::Internal("boom".into())),
             Error::Cache(CacheError::Poisoned),
         ];
         for e in &samples {

@@ -4,14 +4,15 @@
 //! Automatic Data Partitioning for Distributed Memory Execution"*
 //! (Lee, Papadakis, Slaughter, Aiken — SC '19).
 //!
-//! The front door is the [`Partir`] builder: describe a program once, let
-//! the constraint pipeline solve its partitioning into a shareable
-//! [`Plan`], and run it on either backend via [`Run`] (or the classic
-//! one-struct [`Session`]). Solves are cacheable: a fingerprint-keyed
+//! The API mirrors the paper's split between synthesizing a DPL program
+//! once and executing it many times. The [`Partir`] builder describes a
+//! program and lets the constraint pipeline solve its partitioning into a
+//! shareable [`Plan`]; a [`Run`] executes that plan on either backend,
+//! returning a [`RunOutcome`]. Solves are cacheable: a fingerprint-keyed
 //! [`PlanCache`] keys on the structure of the solve inputs and shares the
 //! immutable artifact — including memoized exchange plans, placements,
-//! and legality proofs — across sessions and threads, and the
-//! [`serve`] module turns that into a concurrent solve service.
+//! and legality proofs — across runs and threads, and the [`serve`]
+//! module turns that into a concurrent solve service.
 //! Underneath, this facade re-exports the workspace crates:
 //!
 //! * [`dpl`] — regions, first-class partitions, and the Dependent
@@ -82,17 +83,17 @@ mod error;
 mod plan;
 pub mod serve;
 
-pub use builder::{Backend, Partir, Session};
+pub use builder::Partir;
 pub use error::{Error, ServeError};
 pub use partir_core::cache::{CacheStats, PlanCache};
-pub use plan::{Plan, Run, RunOutcome, RunReport};
+pub use plan::{Backend, Plan, Run, RunOutcome, RunReport};
 pub use serve::{ServeConfig, ServeReply, Server, Ticket};
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use crate::{
         Backend, Error, Partir, Plan, PlanCache, Run, RunOutcome, RunReport, ServeConfig,
-        ServeError, ServeReply, Server, Session,
+        ServeError, ServeReply, Server,
     };
     pub use partir_core::prelude::*;
     pub use partir_dpl::prelude::*;

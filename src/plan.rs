@@ -11,11 +11,16 @@
 //! ```text
 //! let plan = Partir::new(program, fns, schema).colors(8).solve()?;
 //! plan.run(&mut store)?;                                  // defaults
-//! Run::new().backend(Backend::Ranks(4)).run(&plan, &mut store)?;
+//! let outcome = Run::new().backend(Backend::Ranks(4)).run(&plan, &mut store)?;
+//! outcome.trace;       // per-rank timeline, when ObsConfig::timeline is on
+//! outcome.volume;      // predicted-vs-measured bytes (rank backend)
+//! outcome.placement;   // how colors mapped onto ranks (rank backend)
 //! ```
 //!
-//! [`Session`](crate::Session) remains as a thin compatibility wrapper
-//! (one `Plan` + one `Run` + the last run's artifacts) for one release.
+//! Environment defaults (`PARTIR_TRACE`, `PARTIR_FAULT_*`,
+//! `PARTIR_DIST_FAULT_*`, `PARTIR_PLACEMENT*`, …) apply to whatever a
+//! [`Run`] leaves unset; they are parsed in exactly one place
+//! (`partir_obs::config`).
 
 use crate::error::Error;
 use partir_core::cache::SolvedPlan;
@@ -53,7 +58,7 @@ impl Default for Backend {
     }
 }
 
-/// A solved partitioning, shareable across threads and sessions.
+/// A solved partitioning, shareable across threads and runs.
 ///
 /// `Plan` is a handle over an `Arc<SolvedPlan>`: cloning is pointer-sized,
 /// and every clone shares the interior memos (evaluated partitions,
@@ -141,18 +146,18 @@ impl Plan {
 
 /// Per-run execution configuration: backend, legality, faults,
 /// observability. Everything here can differ between runs of one shared
-/// [`Plan`].
+/// [`Plan`], and none of it feeds the solve fingerprint.
 #[derive(Clone, Debug, Default)]
 pub struct Run {
-    pub(crate) backend: Backend,
-    pub(crate) legality: LegalityMode,
-    pub(crate) chaos_seed: Option<u64>,
-    pub(crate) obs: Option<ObsConfig>,
-    pub(crate) fault: Option<FaultPlan>,
-    pub(crate) dist_fault: Option<DistFaultPlan>,
-    pub(crate) checkpoint: Option<CheckpointPolicy>,
-    pub(crate) placement: Option<PlacementConfig>,
-    pub(crate) retry: RetryPolicy,
+    backend: Backend,
+    legality: LegalityMode,
+    chaos_seed: Option<u64>,
+    obs: Option<ObsConfig>,
+    fault: Option<FaultPlan>,
+    dist_fault: Option<DistFaultPlan>,
+    checkpoint: Option<CheckpointPolicy>,
+    placement: Option<PlacementConfig>,
+    retry: RetryPolicy,
 }
 
 impl Run {
@@ -166,54 +171,66 @@ impl Run {
         self
     }
 
-    /// Validate accesses against their partition subregions. `true`
-    /// restores the mode default; `false` disables legality work entirely.
-    pub fn check_legality(mut self, on: bool) -> Self {
-        self.legality = if on { LegalityMode::default() } else { LegalityMode::Off };
-        self
-    }
-
-    /// Explicit legality mode (see [`LegalityMode`]).
+    /// How access legality is established (on by default; benches turn it
+    /// off). The rank backend proves containment once per plan
+    /// ([`LegalityMode::Plan`]) or checks every element at runtime
+    /// ([`LegalityMode::Element`]); the threads backend treats anything
+    /// but [`LegalityMode::Off`] as its per-element check.
     pub fn legality_mode(mut self, mode: LegalityMode) -> Self {
         self.legality = mode;
         self
     }
 
     /// Deterministic delivery-order chaos for the rank backend's
-    /// mailboxes.
+    /// mailboxes: shuffles which ready message is installed first and
+    /// injects tiny receive delays, reproducibly per seed. Results must
+    /// stay bit-identical — this exists so tests can prove it.
     pub fn chaos_seed(mut self, seed: u64) -> Self {
         self.chaos_seed = Some(seed);
         self
     }
 
     /// Explicit observability configuration. When unset, the
-    /// `PARTIR_TRACE` / `PARTIR_METRICS` environment defaults apply.
+    /// `PARTIR_TRACE` / `PARTIR_METRICS` / `PARTIR_TIMELINE` /
+    /// `PARTIR_STRICT_VOLUME` environment defaults apply.
     pub fn obs(mut self, config: ObsConfig) -> Self {
         self.obs = Some(config);
         self
     }
 
-    /// Deterministic fault injection (threads backend only).
+    /// Deterministic fault injection (threads backend only). When unset,
+    /// the `PARTIR_FAULT_*` environment defaults apply.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
     }
 
-    /// Deterministic fabric/rank fault injection (rank backend only).
+    /// Deterministic fabric/rank fault injection for the rank backend:
+    /// seeded message drops and duplication, plus a whole-rank crash at a
+    /// chosen epoch. Configuring a plan also arms survivor-side recovery.
+    /// When unset, the `PARTIR_DIST_FAULT_*` environment defaults apply.
     pub fn dist_fault(mut self, plan: DistFaultPlan) -> Self {
         self.dist_fault = Some(plan);
         self
     }
 
     /// Epoch-interval checkpointing of each rank's owned shard (rank
-    /// backend only).
+    /// backend only) — the restore points recovery rolls back to. When
+    /// unset, the `PARTIR_DIST_CHECKPOINT_INTERVAL` environment default
+    /// applies.
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
         self
     }
 
-    /// Owner-mapping policy for the rank backend, keeping the current
-    /// config's tuning knobs.
+    /// Owner-mapping policy for the rank backend: how solved colors map
+    /// onto ranks ([`PlacementPolicy::Block`] contiguous blocks — the
+    /// default, [`PlacementPolicy::CostDriven`] gain-refined graph
+    /// partitioning over the exchange plan's predicted pair volumes, or an
+    /// explicit `assignment[color] = rank`). Keeps the current config's
+    /// tuning knobs. When neither this nor
+    /// [`placement_config`](Self::placement_config) is called, the
+    /// `PARTIR_PLACEMENT*` environment defaults apply.
     pub fn placement(mut self, policy: PlacementPolicy) -> Self {
         let mut c = self.placement.take().unwrap_or_default();
         c.policy = policy;
@@ -221,7 +238,10 @@ impl Run {
         self
     }
 
-    /// Full placement configuration.
+    /// Full placement configuration: policy plus the imbalance cap, the
+    /// refinement pass bound, and an optional heterogeneous machine model
+    /// (per-rank speeds and bandwidth tiers — slow ranks get
+    /// proportionally smaller shards).
     pub fn placement_config(mut self, config: PlacementConfig) -> Self {
         self.placement = Some(config);
         self
@@ -233,151 +253,33 @@ impl Run {
         self
     }
 
-    /// Validates this configuration against `plan` and executes, mutating
-    /// `store` in place. Results are bit-identical to the sequential
-    /// interpreter on both backends, for any backend width, placement, or
-    /// chaos seed.
+    /// Validates this configuration against `plan` and `store`, then
+    /// executes, mutating `store` in place. A configuration error fails
+    /// with `session.invalid` before the store is touched. Results are
+    /// bit-identical to the sequential interpreter on both backends, for
+    /// any backend width, placement, or chaos seed.
     pub fn run(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
-        self.resolve(plan.colors())?.execute(plan, store)
-    }
-
-    /// Validation + environment-default resolution, shared between the
-    /// standalone path ([`Run::run`]) and the compatibility
-    /// [`Session`](crate::Session) (which resolves once at `build()`).
-    pub(crate) fn resolve(&self, n_colors: usize) -> Result<ResolvedRun, Error> {
-        let width = match self.backend {
-            Backend::Threads(n) | Backend::Ranks(n) => n,
-        };
-        if width == 0 {
-            return Err(Error::Session(format!("backend {:?} has zero width", self.backend)));
-        }
-        if let Backend::Ranks(r) = self.backend {
-            if n_colors < r {
-                return Err(Error::Session(format!(
-                    "rank backend needs colors >= ranks (got {n_colors} colors for {r} ranks)"
-                )));
-            }
-            if self.fault.is_some() {
-                return Err(Error::Session(
-                    "task fault injection is only supported on the Threads backend; \
-                     use dist_fault for the Ranks backend"
-                        .into(),
-                ));
-            }
-        }
-        if matches!(self.backend, Backend::Threads(_)) {
-            if self.dist_fault.is_some() {
-                return Err(Error::Session(
-                    "dist_fault injection is only supported on the Ranks backend; \
-                     use fault for the Threads backend"
-                        .into(),
-                ));
-            }
-            if self.checkpoint.is_some() {
-                return Err(Error::Session(
-                    "checkpointing is only supported on the Ranks backend".into(),
-                ));
-            }
-            // The threads backend has no owner mapping; an explicitly
-            // configured non-default placement would be silently dead.
-            if self.placement.as_ref().is_some_and(|p| p.policy != PlacementPolicy::Block) {
-                return Err(Error::Session(
-                    "placement policies apply to the Ranks backend only".into(),
-                ));
-            }
-        }
-        // An explicit assignment's shape (length == colors, ranks in
-        // range) is deliberately NOT validated here: it flows into
-        // `derive_exchange_with`, whose `ExchangeError::BadAssignment`
-        // carries the precise defect — the builder path surfaces the same
-        // typed error as the core API.
-        if let Some(p) = &self.placement {
-            if !p.imbalance.is_finite() || p.imbalance < 1.0 {
-                return Err(Error::Session(format!(
-                    "placement imbalance factor must be >= 1.0, got {}",
-                    p.imbalance
-                )));
-            }
-        }
-        // Explicit obs config wins; otherwise the `PARTIR_*` env defaults
-        // apply. The resolved config sticks so the rank backend can read
-        // `timeline` / `strict_volume` from it.
-        let obs = self.obs.unwrap_or_else(ObsConfig::from_env);
-        obs.apply();
-        // Env-provided fault defaults resolve per backend, so a threads
-        // FaultPlan never silently attaches to (and gets ignored by) a
-        // Ranks run, and vice versa.
-        let fault = match self.backend {
-            Backend::Threads(_) => self.fault.or_else(FaultPlan::from_env),
-            Backend::Ranks(_) => None,
-        };
-        let (dist_fault, checkpoint) = match self.backend {
-            Backend::Ranks(r) => {
-                let df = self.dist_fault.or_else(DistFaultPlan::from_env);
-                if let Some(crash) = df.as_ref().and_then(|f| f.crash) {
-                    if crash.rank >= r {
-                        return Err(Error::Session(format!(
-                            "dist_fault crashes rank {} but the backend has only {r} ranks",
-                            crash.rank
-                        )));
-                    }
-                }
-                (df, self.checkpoint.or_else(CheckpointPolicy::from_env))
-            }
-            Backend::Threads(_) => (None, None),
-        };
-        // Explicit placement wins; otherwise the `PARTIR_PLACEMENT*` env
-        // defaults apply on the rank backend (Threads has no owner mapping,
-        // so env-derived placement is ignored there rather than erroring).
-        let placement = match self.backend {
-            Backend::Ranks(_) => {
-                self.placement.clone().or_else(PlacementConfig::from_env).unwrap_or_default()
-            }
-            Backend::Threads(_) => self.placement.clone().unwrap_or_default(),
-        };
-        Ok(ResolvedRun {
-            backend: self.backend,
-            legality: self.legality,
-            chaos_seed: self.chaos_seed,
-            obs,
-            fault,
-            dist_fault,
-            checkpoint,
-            placement,
-            retry: self.retry,
-        })
-    }
-}
-
-/// A [`Run`] after validation and environment-default resolution.
-#[derive(Clone, Debug)]
-pub(crate) struct ResolvedRun {
-    pub(crate) backend: Backend,
-    legality: LegalityMode,
-    chaos_seed: Option<u64>,
-    pub(crate) obs: ObsConfig,
-    fault: Option<FaultPlan>,
-    dist_fault: Option<DistFaultPlan>,
-    checkpoint: Option<CheckpointPolicy>,
-    placement: PlacementConfig,
-    retry: RetryPolicy,
-}
-
-impl ResolvedRun {
-    pub(crate) fn execute(&self, plan: &Plan, store: &mut Store) -> Result<RunOutcome, Error> {
+        self.validate(plan.colors())?;
         let schema = plan.schema();
         if store.schema().num_fields() != schema.num_fields()
             || store.schema().num_regions() != schema.num_regions()
         {
             return Err(Error::Session("store schema does not match the plan's schema".into()));
         }
+        // Explicit settings win; otherwise the `PARTIR_*` env defaults
+        // apply, resolved per backend so a threads FaultPlan never
+        // silently attaches to (and gets ignored by) a Ranks run, and vice
+        // versa. The resolved obs config also carries `timeline` /
+        // `strict_volume` to the rank backend.
+        let obs = self.obs.unwrap_or_else(ObsConfig::from_env);
+        obs.apply();
         match self.backend {
             Backend::Threads(n_threads) => {
                 let parts = plan.solved().parts_for(store);
                 let opts = ExecOptions {
                     n_threads,
                     check_legality: self.legality != LegalityMode::Off,
-                    fault: self.fault,
+                    fault: self.fault.or_else(FaultPlan::from_env),
                     retry: self.retry,
                 };
                 let report = execute_program(
@@ -396,20 +298,31 @@ impl ResolvedRun {
                 })
             }
             Backend::Ranks(n_ranks) => {
+                let fault = self.dist_fault.or_else(DistFaultPlan::from_env);
+                if let Some(crash) = fault.as_ref().and_then(|f| f.crash) {
+                    if crash.rank >= n_ranks {
+                        return Err(Error::Session(format!(
+                            "dist_fault crashes rank {} but the backend has only {n_ranks} ranks",
+                            crash.rank
+                        )));
+                    }
+                }
+                let placement =
+                    self.placement.clone().or_else(PlacementConfig::from_env).unwrap_or_default();
                 // The memoized distributed artifacts: evaluated partitions,
                 // owner assignment, exchange plan, and the legality proof.
                 // A memo hit skips evaluation, exchange derivation,
                 // placement, and (via `preproved`) re-proving.
-                let artifacts = plan.solved().dist_artifacts(store, n_ranks, &self.placement)?;
+                let artifacts = plan.solved().dist_artifacts(store, n_ranks, &placement)?;
                 let opts = DistOptions {
                     n_ranks,
                     legality: self.legality,
                     chaos_seed: self.chaos_seed,
-                    collect_timeline: self.obs.timeline,
-                    strict_volume: self.obs.strict_volume,
-                    fault: self.dist_fault,
-                    checkpoint: self.checkpoint,
-                    placement: self.placement.clone(),
+                    collect_timeline: obs.timeline,
+                    strict_volume: obs.strict_volume,
+                    fault,
+                    checkpoint: self.checkpoint.or_else(CheckpointPolicy::from_env),
+                    placement,
                     preproved: artifacts.proof_facts,
                 };
                 let outcome = execute_with_exchange_full(
@@ -429,6 +342,68 @@ impl ResolvedRun {
                 })
             }
         }
+    }
+
+    /// The checks that need only this configuration and the plan's color
+    /// count.
+    fn validate(&self, n_colors: usize) -> Result<(), Error> {
+        let width = match self.backend {
+            Backend::Threads(n) | Backend::Ranks(n) => n,
+        };
+        if width == 0 {
+            return Err(Error::Session(format!("backend {:?} has zero width", self.backend)));
+        }
+        match self.backend {
+            Backend::Ranks(r) => {
+                if n_colors < r {
+                    return Err(Error::Session(format!(
+                        "rank backend needs colors >= ranks (got {n_colors} colors for {r} ranks)"
+                    )));
+                }
+                if self.fault.is_some() {
+                    return Err(Error::Session(
+                        "task fault injection is only supported on the Threads backend; \
+                         use dist_fault for the Ranks backend"
+                            .into(),
+                    ));
+                }
+            }
+            Backend::Threads(_) => {
+                if self.dist_fault.is_some() {
+                    return Err(Error::Session(
+                        "dist_fault injection is only supported on the Ranks backend; \
+                         use fault for the Threads backend"
+                            .into(),
+                    ));
+                }
+                if self.checkpoint.is_some() {
+                    return Err(Error::Session(
+                        "checkpointing is only supported on the Ranks backend".into(),
+                    ));
+                }
+                // The threads backend has no owner mapping; an explicitly
+                // configured non-default placement would be silently dead.
+                if self.placement.as_ref().is_some_and(|p| p.policy != PlacementPolicy::Block) {
+                    return Err(Error::Session(
+                        "placement policies apply to the Ranks backend only".into(),
+                    ));
+                }
+            }
+        }
+        // An explicit assignment's shape (length == colors, ranks in
+        // range) is deliberately NOT validated here: it flows into
+        // `derive_exchange_with`, whose `ExchangeError::BadAssignment`
+        // carries the precise defect — this path surfaces the same typed
+        // error as the core API.
+        if let Some(p) = &self.placement {
+            if !p.imbalance.is_finite() || p.imbalance < 1.0 {
+                return Err(Error::Session(format!(
+                    "placement imbalance factor must be >= 1.0, got {}",
+                    p.imbalance
+                )));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -25,7 +25,9 @@
 //! Every successful reply carries a `partir-report-v1` envelope recording
 //! the fingerprint, cache outcome, and solve latency; failures map to the
 //! registered `serve.*` / `cache.*` error codes via
-//! [`Error::error_code`].
+//! [`Error::error_code`]. A request that panics its worker fails closed:
+//! the worker survives, the queue slot is released, and the ticket gets
+//! `serve.internal`.
 
 use crate::builder::Partir;
 use crate::error::{Error, ServeError};
@@ -34,6 +36,7 @@ use partir_core::cache::{CacheStats, PlanCache, DEFAULT_CAPACITY_BYTES};
 use partir_core::solve::SolveBudget;
 use partir_obs::json::Json;
 use partir_obs::report::envelope;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -112,6 +115,17 @@ pub struct ServeReply {
 struct Job {
     builder: Partir,
     reply: mpsc::Sender<Result<ServeReply, Error>>,
+    slot: Slot,
+}
+
+/// One of the server's `queue_cap` admission slots, released on drop —
+/// whichever way the request leaves the server.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Handle for one submitted request; [`wait`](Ticket::wait) blocks for
@@ -152,7 +166,6 @@ impl Server {
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let rx = Arc::clone(&rx);
-                let inflight = Arc::clone(&inflight);
                 std::thread::spawn(move || loop {
                     // A worker that panicked mid-recv poisons the queue
                     // lock; remaining workers exit rather than spin.
@@ -163,11 +176,15 @@ impl Server {
                         },
                         Err(_) => break,
                     };
-                    let result = process(job.builder);
+                    let Job { builder, reply, slot } = job;
+                    let result = catch_unwind(AssertUnwindSafe(|| process(builder)))
+                        .unwrap_or_else(|panic| {
+                            Err(Error::Serve(ServeError::Internal(panic_message(&*panic))))
+                        });
                     // Release the queue slot before replying, so a caller
                     // that observes its reply also observes the capacity.
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    let _ = job.reply.send(result);
+                    drop(slot);
+                    let _ = reply.send(result);
                 })
             })
             .collect();
@@ -202,8 +219,9 @@ impl Server {
     /// overrides the request's. Fails fast with `serve.queue_full` when
     /// `queue_cap` requests are already queued or in flight.
     pub fn submit(&self, builder: Partir) -> Result<Ticket, Error> {
-        if self.inflight.fetch_add(1, Ordering::SeqCst) >= self.queue_cap {
-            self.inflight.fetch_sub(1, Ordering::SeqCst);
+        let taken = self.inflight.fetch_add(1, Ordering::SeqCst);
+        let slot = Slot(Arc::clone(&self.inflight));
+        if taken >= self.queue_cap {
             return Err(Error::Serve(ServeError::QueueFull { cap: self.queue_cap }));
         }
         let mut builder = builder.cache(&self.cache);
@@ -212,8 +230,7 @@ impl Server {
         }
         let (reply_tx, reply_rx) = mpsc::channel();
         let tx = self.tx.as_ref().expect("sender lives until drop");
-        if tx.send(Job { builder, reply: reply_tx }).is_err() {
-            self.inflight.fetch_sub(1, Ordering::SeqCst);
+        if tx.send(Job { builder, reply: reply_tx, slot }).is_err() {
             return Err(Error::Serve(ServeError::Disconnected));
         }
         Ok(Ticket { rx: reply_rx })
@@ -262,6 +279,14 @@ fn process(builder: Partir) -> Result<ServeReply, Error> {
         .with("colors", plan.colors())
         .with("degraded", false);
     Ok(ServeReply { plan, solve_ns, report })
+}
+
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
+    }
 }
 
 /// `partir-report-v1` envelope for a failed request, carrying the stable

@@ -30,13 +30,16 @@ fn run_with_mode(mode: LegalityMode) -> partir::runtime::dist::DistReport {
     let mut seq = a.store.clone();
     run_program_seq(&a.program, &mut seq, &a.fns);
 
-    let mut session = Partir::new(a.program, a.fns, a.store.schema().clone())
-        .backend(Backend::Ranks(4))
-        .legality_mode(mode)
-        .build()
+    let plan = Partir::new(a.program, a.fns, a.store.schema().clone())
+        .colors(4)
+        .solve()
         .expect("stencil auto-parallelizes");
     let mut par = a.store.clone();
-    let report = session.run(&mut par).expect("stencil runs on 4 ranks");
+    let outcome = Run::new()
+        .backend(Backend::Ranks(4))
+        .legality_mode(mode)
+        .run(&plan, &mut par)
+        .expect("stencil runs on 4 ranks");
 
     for f in 0..a.store.schema().num_fields() {
         let fid = partir::dpl::region::FieldId(f as u32);
@@ -47,7 +50,7 @@ fn run_with_mode(mode: LegalityMode) -> partir::runtime::dist::DistReport {
             assert_eq!(sv, pv, "field {fid:?} diverged under {mode:?}");
         }
     }
-    *report.as_ranks().expect("rank backend report")
+    *outcome.report.as_ranks().expect("rank backend report")
 }
 
 #[test]

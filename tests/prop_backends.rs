@@ -1,10 +1,9 @@
 //! Cross-backend equivalence, empirically: for randomly generated
-//! parallelizable programs, one `Partir` session configuration produces
-//! bit-identical stores on the sequential interpreter, the threaded
-//! executor, and the rank-sharded SPMD backend — with dynamic legality
-//! checking on everywhere. The constraint solution is solved once per
-//! backend from identical inputs, so any divergence is an executor bug,
-//! not a solver one.
+//! parallelizable programs, one solved `Plan` produces bit-identical
+//! stores on the sequential interpreter, the threaded executor, and the
+//! rank-sharded SPMD backend — with dynamic legality checking on
+//! everywhere. Both backends run the same solution, so any divergence is
+//! an executor bug, not a solver one.
 
 use partir::prelude::*;
 use proptest::prelude::*;
@@ -24,19 +23,18 @@ proptest! {
         let mut seq = built.store.clone();
         run_program_seq(&built.program, &mut seq, &built.fns);
 
-        for backend in [Backend::Threads(3), Backend::Ranks(n_ranks)] {
-            let mut session = Partir::new(
-                built.program.clone(),
-                built.fns.clone(),
-                built.store.schema().clone(),
-            )
-            .backend(backend)
-            .colors(colors)
-            .build()
-            .expect("generated programs are parallelizable");
+        let plan = Partir::new(
+            built.program.clone(),
+            built.fns.clone(),
+            built.store.schema().clone(),
+        )
+        .colors(colors)
+        .solve()
+        .expect("generated programs are parallelizable");
 
+        for backend in [Backend::Threads(3), Backend::Ranks(n_ranks)] {
             let mut par = built.store.clone();
-            match session.run(&mut par) {
+            match Run::new().backend(backend).run(&plan, &mut par) {
                 Ok(_) => {}
                 Err(e) => return Err(TestCaseError::fail(format!("{backend:?} failed: {e}"))),
             }

@@ -1,8 +1,9 @@
 //! The serving layer's failure contract, exercised through the public
 //! API: every rejection carries a registered `partir-report-v1` error
 //! code (`serve.over_budget`, `serve.queue_full`, `serve.disconnected`,
-//! `cache.poisoned`), and a loaded server still converges to one shared
-//! artifact.
+//! `serve.internal`, `cache.poisoned`), a request that panics its worker
+//! leaves the server serving, and a loaded server still converges to one
+//! shared artifact.
 
 use partir::obs::report::is_known_error_code;
 use partir::prelude::*;
@@ -141,7 +142,36 @@ fn concurrent_clients_converge_on_one_artifact_and_run_it() {
 
 #[test]
 fn every_serve_code_is_registered_in_the_report_schema() {
-    for code in ["serve.over_budget", "serve.queue_full", "serve.disconnected", "cache.poisoned"] {
+    for code in [
+        "serve.over_budget",
+        "serve.queue_full",
+        "serve.disconnected",
+        "serve.internal",
+        "cache.poisoned",
+    ] {
         assert!(is_known_error_code(code), "{code} missing from ERROR_CODES");
     }
+}
+
+/// A request whose function table lacks a function its program applies
+/// panics inside the pipeline. The server must fail closed: the ticket
+/// gets `serve.internal`, the worker and its queue slot survive, and the
+/// next well-formed request still solves.
+#[test]
+fn a_panicking_request_fails_closed_and_the_server_keeps_serving() {
+    let (program, fns, schema, _) = scatter();
+    let server = Server::new(ServeConfig { workers: 1, queue_cap: 2, ..Default::default() });
+    let malformed = Partir::new(program.clone(), FnTable::new(), schema.clone());
+    let err = server.solve(malformed).unwrap_err();
+    assert_eq!(err.error_code(), "serve.internal");
+    assert!(matches!(err, Error::Serve(ServeError::Internal(_))));
+    assert_eq!(server.inflight(), 0, "the panicking request released its slot");
+
+    for _ in 0..3 {
+        let reply = server
+            .solve(Partir::new(program.clone(), fns.clone(), schema.clone()))
+            .expect("the worker survived the panic");
+        assert!(!reply.plan.degraded());
+    }
+    assert_eq!(server.inflight(), 0);
 }
