@@ -38,7 +38,7 @@ use partir_dpl::index_set::{Idx, IndexSet};
 use partir_dpl::ops::equal;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, FieldKind, RegionId, Schema};
-use partir_ir::analysis::AccessKind;
+use partir_ir::analysis::{AccessKind, NO_FIELD};
 use partir_ir::ast::ReduceOp;
 use std::fmt;
 use std::sync::Arc;
@@ -46,6 +46,35 @@ use std::sync::Arc;
 /// Per-field transfer sets of one `(src, dst)` pair, ascending by field id;
 /// only non-empty sets are stored.
 pub type FieldSets = Vec<(FieldId, IndexSet)>;
+
+/// True for an access to f64 data, the only data ranks shard: topology
+/// fields are replicated, and a `ForEach` header over a function with no
+/// backing field ([`NO_FIELD`]) reads no data at all.
+fn is_f64(schema: &Schema, f: FieldId) -> bool {
+    f != NO_FIELD && matches!(schema.field(f).kind, FieldKind::F64)
+}
+
+/// Unions `set(c)` over each rank's colors into `table`'s row for
+/// `field` (added on first use), one set per rank.
+fn accumulate<'s>(
+    table: &mut Vec<(FieldId, Vec<IndexSet>)>,
+    field: FieldId,
+    rank_colors: &[Vec<usize>],
+    set: impl Fn(usize) -> &'s IndexSet,
+) {
+    let row = match table.iter().position(|(f, _)| *f == field) {
+        Some(i) => i,
+        None => {
+            table.push((field, vec![IndexSet::new(); rank_colors.len()]));
+            table.len() - 1
+        }
+    };
+    for (acc, colors) in table[row].1.iter_mut().zip(rank_colors) {
+        for &c in colors {
+            *acc = acc.union(set(c));
+        }
+    }
+}
 
 /// Routing of one two-step reduction access: who owns which slice of each
 /// color's buffer set.
@@ -84,10 +113,6 @@ pub struct LoopExchange {
     /// run each boundary color as soon as *its* halos land instead of
     /// waiting for the whole exchange.
     pub boundary_deps: Vec<Vec<Vec<usize>>>,
-    /// First-owner narrowing of centered writes for aliased iteration
-    /// partitions (same fold as the threaded executor), `None` when the
-    /// iteration partition is disjoint.
-    pub write_own: Option<Vec<IndexSet>>,
 }
 
 /// Volume accounting for one full pass over the program.
@@ -351,14 +376,11 @@ pub fn prove_plan_legality(
     let mut proof = LegalityProof::default();
     for (li, lp) in plan.loops.iter().enumerate() {
         for (ai, ap) in lp.accesses.iter().enumerate() {
-            if !matches!(schema.field(ap.field).kind, FieldKind::F64) {
+            if !is_f64(schema, ap.field) {
                 continue;
             }
-            let part: &Partition = match &ap.reduce {
-                Some(PlannedReduce::Buffered) => continue,
-                Some(PlannedReduce::BufferedPrivate { private }) => &parts[private.0 as usize],
-                _ => &parts[ap.part.0 as usize],
-            };
+            let Some(p) = ap.store_part() else { continue };
+            let part = &parts[p.0 as usize];
             for c in 0..xplan.n_colors.min(part.num_subregions()) {
                 let rank = xplan.rank_of_color(c);
                 let touched = part.subregion(c);
@@ -572,123 +594,68 @@ pub fn derive_exchange_with(
     let mut loops = Vec::with_capacity(plan.loops.len());
     for lp in &plan.loops {
         let iter = &parts[lp.iter.0 as usize];
-        let write_own: Option<Vec<IndexSet>> = if iter.is_disjoint() {
-            None
-        } else {
-            let mut seen = IndexSet::new();
-            Some(
-                iter.iter()
-                    .map(|s| {
-                        let mine = s.difference(&seen);
-                        seen = seen.union(s);
-                        mine
-                    })
-                    .collect(),
-            )
-        };
+        let write_own = lp.write_owners(parts);
 
         // Per-rank, per-field needed and in-place-mutated sets.
-        let is_f64 = |f: FieldId| matches!(schema.field(f).kind, FieldKind::F64);
         // (field, rank) -> set, kept sparse by field.
         let mut needed: Vec<(FieldId, Vec<IndexSet>)> = Vec::new();
         let mut mutated: Vec<(FieldId, Vec<IndexSet>)> = Vec::new();
-        let slot = |table: &mut Vec<(FieldId, Vec<IndexSet>)>, f: FieldId| -> usize {
-            match table.iter().position(|(g, _)| *g == f) {
-                Some(i) => i,
-                None => {
-                    table.push((f, vec![IndexSet::new(); n_ranks]));
-                    table.len() - 1
-                }
-            }
-        };
         let mut interior: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
         let mut boundary: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
         let mut routes: Vec<BufferRoute> = Vec::new();
 
         for (ai, ap) in lp.accesses.iter().enumerate() {
-            if !is_f64(ap.field) {
+            if !is_f64(schema, ap.field) {
                 continue; // Ptr/Range topology fields are replicated.
             }
             let part = &parts[ap.part.0 as usize];
             let region = ap.region.0 as usize;
-            // Everything an access touches must be locally resident:
-            // reads need the value, in-place effects need a slot (and the
-            // owner's pre-loop value, for exact in-place reduce order).
-            let buffered = matches!(
-                ap.reduce,
-                Some(PlannedReduce::Buffered) | Some(PlannedReduce::BufferedPrivate { .. })
-            );
-            if !buffered {
-                let ni = slot(&mut needed, ap.field);
-                for (rank, colors) in rank_colors.iter().enumerate() {
-                    let mut acc = needed[ni].1[rank].clone();
-                    for &c in colors {
-                        acc = acc.union(part.subregion(c));
+            // Everything an access touches in the store must be locally
+            // resident: reads need the value, in-place effects need a slot
+            // (and the owner's pre-loop value, for exact in-place reduce
+            // order).
+            if let Some(p) = ap.store_part() {
+                let p = &parts[p.0 as usize];
+                accumulate(&mut needed, ap.field, &rank_colors, |c| p.subregion(c));
+            }
+            // In-place mutated sets, per the executors' effect sets:
+            // centered writes (first-owner narrowed), centered reductions,
+            // and the disjoint in-place slice of uncentered reductions.
+            match (&ap.kind, &ap.reduce) {
+                (AccessKind::Write, _) => {
+                    accumulate(&mut mutated, ap.field, &rank_colors, |c| match &write_own {
+                        Some(own) => &own[c],
+                        None => iter.subregion(c),
+                    });
+                }
+                (AccessKind::Reduce(_), None) => {
+                    accumulate(&mut mutated, ap.field, &rank_colors, |c| iter.subregion(c));
+                }
+                _ => {
+                    if let Some(p) = ap.in_place_part() {
+                        let p = &parts[p.0 as usize];
+                        accumulate(&mut mutated, ap.field, &rank_colors, |c| p.subregion(c));
                     }
-                    needed[ni].1[rank] = acc;
                 }
             }
-            // In-place mutated sets, per the threaded executor's effect
-            // sets (see exec.rs::effect_set).
-            let is_in_place = matches!(
-                (&ap.kind, &ap.reduce),
-                (AccessKind::Write, _)
-                    | (AccessKind::Reduce(_), None)
-                    | (AccessKind::Reduce(_), Some(PlannedReduce::Direct))
-                    | (AccessKind::Reduce(_), Some(PlannedReduce::Guarded))
-            );
-            if is_in_place {
-                let mi = slot(&mut mutated, ap.field);
-                for (rank, colors) in rank_colors.iter().enumerate() {
-                    let mut acc = mutated[mi].1[rank].clone();
-                    for &c in colors {
-                        let set = match (&ap.kind, &ap.reduce) {
-                            (AccessKind::Write, _) => match &write_own {
-                                Some(own) => &own[c],
-                                None => iter.subregion(c),
-                            },
-                            (AccessKind::Reduce(_), None) => iter.subregion(c),
-                            _ => part.subregion(c),
-                        };
-                        acc = acc.union(set);
-                    }
-                    mutated[mi].1[rank] = acc;
-                }
-            }
-            match &ap.reduce {
-                Some(PlannedReduce::BufferedPrivate { private }) => {
-                    // The private slice is mutated in place and needs the
-                    // owner's pre-value; the remainder goes through a route.
-                    let ppart = &parts[private.0 as usize];
-                    let ni = slot(&mut needed, ap.field);
-                    let mi = slot(&mut mutated, ap.field);
-                    for (rank, colors) in rank_colors.iter().enumerate() {
-                        let mut nacc = needed[ni].1[rank].clone();
-                        let mut macc = mutated[mi].1[rank].clone();
-                        for &c in colors {
-                            nacc = nacc.union(ppart.subregion(c));
-                            macc = macc.union(ppart.subregion(c));
-                        }
-                        needed[ni].1[rank] = nacc;
-                        mutated[mi].1[rank] = macc;
-                    }
-                    let AccessKind::Reduce(op) = ap.kind else { unreachable!() };
-                    let by_color = (0..n_colors)
-                        .map(|c| {
-                            let set = part.subregion(c).difference(ppart.subregion(c));
-                            split_by_owner(&set, &owned[region])
-                        })
-                        .collect();
-                    routes.push(BufferRoute { access: ai, field: ap.field, op, by_color });
-                }
-                Some(PlannedReduce::Buffered) => {
-                    let AccessKind::Reduce(op) = ap.kind else { unreachable!() };
-                    let by_color = (0..n_colors)
-                        .map(|c| split_by_owner(part.subregion(c), &owned[region]))
-                        .collect();
-                    routes.push(BufferRoute { access: ai, field: ap.field, op, by_color });
-                }
-                _ => {}
+            // Two-step reductions route each color's buffer set (its
+            // subregion minus the in-place private slice) to the owners.
+            if let (
+                AccessKind::Reduce(op),
+                Some(PlannedReduce::Buffered | PlannedReduce::BufferedPrivate { .. }),
+            ) = (ap.kind, &ap.reduce)
+            {
+                let private = ap.in_place_part().map(|p| &parts[p.0 as usize]);
+                let by_color = (0..n_colors)
+                    .map(|c| match private {
+                        Some(pp) => split_by_owner(
+                            &part.subregion(c).difference(pp.subregion(c)),
+                            &owned[region],
+                        ),
+                        None => split_by_owner(part.subregion(c), &owned[region]),
+                    })
+                    .collect();
+                routes.push(BufferRoute { access: ai, field: ap.field, op, by_color });
             }
         }
 
@@ -702,17 +669,12 @@ pub fn derive_exchange_with(
             for &c in colors {
                 let mut deps: Vec<usize> = Vec::new();
                 for ap in &lp.accesses {
-                    if !is_f64(ap.field) {
+                    if !is_f64(schema, ap.field) {
                         continue;
                     }
                     let region = ap.region.0 as usize;
-                    let touched: &IndexSet = match &ap.reduce {
-                        Some(PlannedReduce::Buffered) => continue,
-                        Some(PlannedReduce::BufferedPrivate { private }) => {
-                            parts[private.0 as usize].subregion(c)
-                        }
-                        _ => parts[ap.part.0 as usize].subregion(c),
-                    };
+                    let Some(p) = ap.store_part() else { continue };
+                    let touched = parts[p.0 as usize].subregion(c);
                     let foreign = touched.difference(&owned[region][rank]);
                     if foreign.is_empty() {
                         continue;
@@ -801,7 +763,6 @@ pub fn derive_exchange_with(
             interior,
             boundary,
             boundary_deps,
-            write_own,
         });
     }
 

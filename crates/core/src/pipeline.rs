@@ -18,6 +18,7 @@ use crate::optimize::{
 use crate::solve::{solve_with, Solution, SolveBudget, SolveError};
 use crate::unify::{unify, Rep, Unified};
 use partir_dpl::func::FnTable;
+use partir_dpl::index_set::IndexSet;
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema, Store};
 use partir_ir::analysis::{AccessKind, NotParallelizable};
@@ -136,6 +137,33 @@ pub struct AccessPlan {
     pub reduce: Option<PlannedReduce>,
 }
 
+impl AccessPlan {
+    /// The partition this access touches in the store itself — reads,
+    /// writes and in-place effects — which is every access except a
+    /// two-step reduction's buffered remainder: the private sub-partition
+    /// for `BufferedPrivate`, `None` when every effect is buffered.
+    pub fn store_part(&self) -> Option<PartId> {
+        match self.reduce {
+            Some(PlannedReduce::Buffered) => None,
+            Some(PlannedReduce::BufferedPrivate { private }) => Some(private),
+            _ => Some(self.part),
+        }
+    }
+
+    /// The partition through which this uncentered reduction mutates the
+    /// store in place (a disjoint one, so each element has one in-place
+    /// writer): the access partition when direct or guarded, the private
+    /// sub-partition for `BufferedPrivate`. `None` for buffered reductions
+    /// and for accesses that are not uncentered reductions.
+    pub fn in_place_part(&self) -> Option<PartId> {
+        match self.reduce {
+            Some(PlannedReduce::Direct) | Some(PlannedReduce::Guarded) => Some(self.part),
+            Some(PlannedReduce::BufferedPrivate { private }) => Some(private),
+            None | Some(PlannedReduce::Buffered) => None,
+        }
+    }
+}
+
 #[derive(Clone, Debug, PartialEq)]
 pub enum PlannedReduce {
     Direct,
@@ -154,6 +182,19 @@ pub struct LoopPlan {
     pub iter_must_be_disjoint: bool,
     pub relaxed: bool,
     pub accesses: Vec<AccessPlan>,
+}
+
+impl LoopPlan {
+    /// Who writes each element when the iteration partition aliases
+    /// (Section 5.1): its first-owner split, so a centered write applies in
+    /// exactly one task. `None` when the partition is disjoint, or when the
+    /// loop has no centered write to narrow (the check is not free on a
+    /// fragmented partition).
+    pub fn write_owners(&self, parts: &[Arc<Partition>]) -> Option<Vec<IndexSet>> {
+        let iter = &parts[self.iter.0 as usize];
+        let writes = self.accesses.iter().any(|a| a.kind.is_write());
+        (writes && !iter.is_disjoint()).then(|| iter.first_owner_split())
+    }
 }
 
 /// The complete auto-parallelization result.
@@ -431,6 +472,7 @@ pub fn auto_parallelize(
                 reduce,
             });
         }
+        buffer_conflicting_in_place(&mut accesses);
         plan_loops.push(LoopPlan {
             loop_index: li,
             iter,
@@ -462,6 +504,28 @@ pub fn auto_parallelize(
         unified,
         timings: Timings { inference: inference_time, solver: solver_time, rewrite: rewrite_time },
     })
+}
+
+/// Two uncentered reductions into one field can each be race-free alone
+/// yet reach one element in place from two colors — say a `Direct` access
+/// on one partition and another access's private slice. Both backends rely
+/// on every element having one in-place writer, so all in-place effects on
+/// a field must come from one partition: the first in-place access's. Other
+/// accesses to the field buffer instead (guarded ones cannot: in a relaxed
+/// loop the guard is what keeps duplicated iterations from double-applying).
+fn buffer_conflicting_in_place(accesses: &mut [AccessPlan]) {
+    for i in 0..accesses.len() {
+        let Some(keep) = accesses[i].in_place_part() else { continue };
+        let field = (accesses[i].region, accesses[i].field);
+        for ap in &mut accesses[i + 1..] {
+            if (ap.region, ap.field) == field
+                && ap.in_place_part().is_some_and(|p| p != keep)
+                && ap.reduce != Some(PlannedReduce::Guarded)
+            {
+                ap.reduce = Some(PlannedReduce::Buffered);
+            }
+        }
+    }
 }
 
 fn install_hints(system: &mut System, hints: &Hints) {

@@ -24,6 +24,28 @@ impl fmt::Debug for FnId {
     }
 }
 
+/// The topology data partitioning functions read: pointer and range
+/// fields. Every store representation that executes loops implements it,
+/// so one evaluator serves the interpreter and both parallel backends.
+/// Lookups return `None` for an index outside the field, which the
+/// evaluator treats as "no image".
+pub trait IndexSource {
+    fn ptr(&self, field: FieldId, i: Idx) -> Option<Idx>;
+    fn range(&self, field: FieldId, i: Idx) -> Option<(Idx, Idx)>;
+}
+
+impl IndexSource for Store {
+    #[inline]
+    fn ptr(&self, field: FieldId, i: Idx) -> Option<Idx> {
+        self.ptrs(field).get(i as usize).copied()
+    }
+
+    #[inline]
+    fn range(&self, field: FieldId, i: Idx) -> Option<(Idx, Idx)> {
+        self.ranges(field).get(i as usize).copied()
+    }
+}
+
 /// A single-valued function on indices.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum IndexFn {
@@ -44,15 +66,17 @@ pub enum IndexFn {
 impl IndexFn {
     /// Evaluates the function at `i`. Returns `None` when the result falls
     /// outside `[0, target_size)` or an intermediate step has no image.
-    pub fn eval(&self, store: &Store, i: Idx, target_size: u64) -> Option<Idx> {
-        let raw = self.eval_raw(store, i)?;
+    #[inline]
+    pub fn eval<S: IndexSource + ?Sized>(&self, src: &S, i: Idx, target_size: u64) -> Option<Idx> {
+        let raw = self.eval_raw(src, i)?;
         (raw < target_size).then_some(raw)
     }
 
     /// Evaluates without the final range check (used by [`IndexFn::Compose`],
     /// whose intermediate results are checked against the *final* target by
     /// the caller supplying intermediate sizes implicitly via field lengths).
-    fn eval_raw(&self, store: &Store, i: Idx) -> Option<Idx> {
+    #[inline]
+    fn eval_raw<S: IndexSource + ?Sized>(&self, src: &S, i: Idx) -> Option<Idx> {
         match self {
             IndexFn::Identity => Some(i),
             IndexFn::Affine { mul, add } => {
@@ -63,15 +87,21 @@ impl IndexFn {
                 let v = (i as i64).checked_mul(*mul)?.checked_add(*add)?;
                 Some(v.rem_euclid(*modulus as i64) as Idx)
             }
-            IndexFn::Ptr { field } => {
-                let ptrs = store.ptrs(*field);
-                ptrs.get(i as usize).copied()
-            }
-            IndexFn::Compose(first, second) => {
-                let mid = first.eval_raw(store, i)?;
-                second.eval_raw(store, mid)
-            }
+            IndexFn::Ptr { field } => src.ptr(*field, i),
+            IndexFn::Compose(first, second) => Self::eval_compose(first, second, src, i),
         }
+    }
+
+    /// The recursive case of [`IndexFn::eval_raw`], kept out of line so the
+    /// flat cases inline into every evaluator.
+    #[inline(never)]
+    fn eval_compose<S: IndexSource + ?Sized>(
+        first: &IndexFn,
+        second: &IndexFn,
+        src: &S,
+        i: Idx,
+    ) -> Option<Idx> {
+        second.eval_raw(src, first.eval_raw(src, i)?)
     }
 }
 
@@ -88,16 +118,22 @@ pub enum MultiFn {
 
 impl MultiFn {
     /// Appends `F(i) ∩ [0, target_size)` to `out`.
-    pub fn eval_into(&self, store: &Store, i: Idx, target_size: u64, out: &mut Vec<Idx>) {
+    #[inline]
+    pub fn eval_into<S: IndexSource + ?Sized>(
+        &self,
+        src: &S,
+        i: Idx,
+        target_size: u64,
+        out: &mut Vec<Idx>,
+    ) {
         match self {
             MultiFn::RangeField { field } => {
-                if let Some(&(s, e)) = store.ranges(*field).get(i as usize) {
-                    let e = e.min(target_size);
-                    out.extend(s..e);
+                if let Some((s, e)) = src.range(*field, i) {
+                    out.extend(s..e.min(target_size));
                 }
             }
             MultiFn::Lift(f) => {
-                if let Some(v) = f.eval(store, i, target_size) {
+                if let Some(v) = f.eval(src, i, target_size) {
                     out.push(v);
                 }
             }

@@ -62,6 +62,22 @@ impl Partition {
         self.total_elements() == self.support().len()
     }
 
+    /// First-owner split: every element goes to the lowest-numbered
+    /// subregion containing it, so the result is disjoint with the same
+    /// support. An aliased iteration partition uses it to give each
+    /// centered write exactly one owning task (Section 5.1).
+    pub fn first_owner_split(&self) -> Vec<IndexSet> {
+        let mut seen = IndexSet::new();
+        self.subregions
+            .iter()
+            .map(|s| {
+                let mine = s.difference(&seen);
+                seen = seen.union(s);
+                mine
+            })
+            .collect()
+    }
+
     /// `COMP`: the subregions cover all of `[0, region_size)`.
     pub fn is_complete(&self, region_size: u64) -> bool {
         self.support() == IndexSet::from_range(0, region_size)
@@ -114,6 +130,9 @@ mod tests {
         let p = Partition::new(r(), vec![IndexSet::from_range(0, 6), IndexSet::from_range(4, 10)]);
         assert!(!p.is_disjoint());
         assert!(p.is_complete(10));
+        // The first-owner split hands the overlap {4, 5} to subregion 0.
+        let own = p.first_owner_split();
+        assert_eq!(own, vec![IndexSet::from_range(0, 6), IndexSet::from_range(6, 10)]);
     }
 
     #[test]

@@ -40,6 +40,11 @@ impl AccessKind {
     }
 }
 
+/// The field of a `ForEach` header access whose function is not backed by
+/// a range field (e.g. a lifted affine map): the header reads no region
+/// data, only the loop index.
+pub const NO_FIELD: FieldId = FieldId(u32::MAX);
+
 /// One region access site with its derivation path from the loop variable.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AccessInfo {
@@ -260,22 +265,13 @@ fn collect(
                     .get(src)
                     .cloned()
                     .ok_or(NotParallelizable::UndefinedIndexVar { var: *src })?;
-                // Reading the range bounds is a read access on the region
-                // that owns the range field (via the function's domain).
-                // The recorded region/field come from the function table at
-                // inference time; here we record the access against the
-                // function's domain via path only. The ForEach header reads
-                // `F`'s backing field at `src`: region information is
-                // resolved by constraint inference from the FnTable. We
-                // store the access with the function's *domain* unknown at
-                // this layer, so the region/field are filled by the caller.
-                // To keep the IR self-contained we instead require ForEach
-                // functions to be registered range fields and record the
-                // access against that field's owner region.
+                // The header reads its function's backing range field at
+                // `src`; the region and field are resolved against the
+                // function table by `fixup_foreach_regions`.
                 accesses.push(AccessInfo {
                     id: *range_access,
-                    region: RegionId(u32::MAX), // patched below by fixup
-                    field: FieldId(u32::MAX),
+                    region: RegionId(u32::MAX),
+                    field: NO_FIELD,
                     kind: AccessKind::Read,
                     path: src_path.clone(),
                 });
@@ -290,7 +286,8 @@ fn collect(
 }
 
 /// Patches ForEach header accesses with the region/field that back the
-/// range function. Called by [`analyze_with_table`].
+/// range function; headers over other functions keep [`NO_FIELD`]. Called
+/// by [`analyze_with_table`].
 fn fixup_foreach_regions(lp: &Loop, fns: &FnTable, accesses: &mut [AccessInfo]) {
     fn walk(body: &[Stmt], fns: &FnTable, accesses: &mut [AccessInfo]) {
         for s in body {

@@ -16,9 +16,9 @@
 //! scheduling.
 
 use crate::ast::{AccessId, BinOp, Loop, ReduceOp, Stmt, UnOp, VExpr};
-use partir_dpl::func::{FnDef, FnId, FnTable};
+use partir_dpl::func::{FnDef, FnId, FnTable, IndexSource};
 use partir_dpl::index_set::Idx;
-use partir_dpl::region::{FieldId, Store};
+use partir_dpl::region::{FieldId, Schema, Store};
 
 /// How loop bodies touch data. All region accesses carry their [`AccessId`]
 /// so implementations can enforce per-site policies.
@@ -62,26 +62,61 @@ impl DataCtx for SeqCtx<'_> {
         self.store.ptrs(field)[i as usize]
     }
     fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx {
-        let nf = self.fns.get(f);
-        let size = self.store.schema().region_size(nf.range);
-        match &nf.def {
-            FnDef::Index(func) => func
-                .eval(self.store, i, size)
-                .unwrap_or_else(|| panic!("function {} out of range at {i}", nf.name)),
-            FnDef::Multi(_) => panic!("eval_fn on multi-valued function {}", nf.name),
-        }
+        eval_fn(self.fns, self.store.schema(), &*self.store, f, i)
     }
     fn eval_multi(&mut self, _a: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>) {
-        let nf = self.fns.get(f);
-        let size = self.store.schema().region_size(nf.range);
-        match &nf.def {
-            FnDef::Multi(func) => func.eval_into(self.store, i, size, out),
-            FnDef::Index(func) => {
-                if let Some(v) = func.eval(self.store, i, size) {
-                    out.push(v);
-                }
-            }
-        }
+        eval_multi(self.fns, self.store.schema(), &*self.store, f, i, out)
+    }
+}
+
+/// [`DataCtx::eval_fn`] for every context: evaluates the single-valued
+/// function `f` at `i` against `src`'s topology fields.
+///
+/// # Panics
+/// When `f(i)` has no image in `f`'s range, or `f` is multi-valued — the
+/// program applied a function outside its domain, which no partitioning
+/// can make meaningful.
+#[inline]
+pub fn eval_fn<S: IndexSource + ?Sized>(
+    fns: &FnTable,
+    schema: &Schema,
+    src: &S,
+    f: FnId,
+    i: Idx,
+) -> Idx {
+    let nf = fns.get(f);
+    match &nf.def {
+        FnDef::Index(func) => match func.eval(src, i, schema.region_size(nf.range)) {
+            Some(v) => v,
+            None => no_image(&nf.name, i),
+        },
+        FnDef::Multi(_) => panic!("eval_fn on multi-valued function {}", nf.name),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn no_image(name: &str, i: Idx) -> ! {
+    panic!("function {name} out of range at {i}")
+}
+
+/// [`DataCtx::eval_multi`] for every context: appends the image of `i`
+/// under `f` to `out` — a range field's slice, or the single image of a
+/// single-valued function, or nothing when `i` has no image.
+#[inline]
+pub fn eval_multi<S: IndexSource + ?Sized>(
+    fns: &FnTable,
+    schema: &Schema,
+    src: &S,
+    f: FnId,
+    i: Idx,
+    out: &mut Vec<Idx>,
+) {
+    let nf = fns.get(f);
+    let size = schema.region_size(nf.range);
+    match &nf.def {
+        FnDef::Multi(func) => func.eval_into(src, i, size, out),
+        FnDef::Index(func) => out.extend(func.eval(src, i, size)),
     }
 }
 

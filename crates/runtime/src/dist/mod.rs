@@ -26,12 +26,14 @@ pub use store::RankStore;
 
 use crate::dist::mailbox::build_fabric;
 use crate::dist::rank::{OwnedShards, RankStats};
+use crate::fault::panic_message;
+use crate::setup::{validate_shape, LoopSetup, ShapeError};
 use parking_lot::Mutex;
 use partir_core::exchange::{
     derive_exchange_with, prove_plan_legality, ExchangeError, ExchangePlan, PlanLegalityError,
 };
-use partir_core::pipeline::{ParallelPlan, PlannedReduce};
-use partir_core::placement::{evacuate_placement, place, PlacementConfig, PlacementReport};
+use partir_core::pipeline::ParallelPlan;
+use partir_core::placement::{evacuate_placement, PlacementConfig};
 use partir_dpl::func::FnTable;
 use partir_dpl::index_set::Idx;
 use partir_dpl::partition::Partition;
@@ -357,11 +359,6 @@ pub struct DistOutcome {
     pub validate_ns: u64,
     /// Ranks declared lost and recovered from, in loss order.
     pub lost_ranks: Vec<usize>,
-    /// How the owner mapping was chosen, with block-vs-optimized predicted
-    /// bytes and refinement accounting. Present when this call derived the
-    /// exchange plan itself (absent under `execute_with_exchange_full`,
-    /// where the caller owns the plan).
-    pub placement: Option<PlacementReport>,
 }
 
 /// A distributed legality failure: which access of which loop, run by which
@@ -394,20 +391,8 @@ impl fmt::Display for DistViolation {
 pub enum DistError {
     /// Communication-set derivation failed.
     Exchange(ExchangeError),
-    /// The plan does not describe this program (loop counts differ).
-    PlanMismatch { plan_loops: usize, program_loops: usize },
-    /// A plan references a partition index outside the evaluated set.
-    PartitionIndexOutOfBounds { loop_index: usize, part: usize, len: usize },
-    /// Partitions disagree on the launch width (subregion counts differ).
-    PartitionWidthMismatch { part: usize, expected: usize, got: usize },
-    /// A partition contains element indices outside its region.
-    PartitionExceedsRegion { loop_index: usize, part: usize, index: Idx, size: u64 },
-    /// The iteration partition misses elements of the iteration space.
-    IncompleteIteration { loop_index: usize },
-    /// A loop with centered reductions got an aliased iteration partition.
-    IterationNotDisjoint { loop_index: usize },
-    /// A direct/guarded reduction partition is not disjoint.
-    ReductionNotDisjoint { loop_index: usize, access: AccessId },
+    /// The plan's partitions do not have the shape execution relies on.
+    Shape(ShapeError),
     /// An access escaped its subregion or its rank's footprint.
     Legality(DistViolation),
     /// The plan-level legality proof failed: some `(loop, access, color)`
@@ -437,36 +422,7 @@ impl fmt::Display for DistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DistError::Exchange(e) => write!(f, "exchange derivation failed: {e}"),
-            DistError::PlanMismatch { plan_loops, program_loops } => {
-                write!(f, "plan describes {plan_loops} loops but the program has {program_loops}")
-            }
-            DistError::PartitionIndexOutOfBounds { loop_index, part, len } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition index {part} out of bounds ({len} evaluated)"
-                )
-            }
-            DistError::PartitionWidthMismatch { part, expected, got } => {
-                write!(f, "partition {part} has {got} subregions, launch width is {expected}")
-            }
-            DistError::PartitionExceedsRegion { loop_index, part, index, size } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition {part} contains element {index} outside its region (size {size})"
-                )
-            }
-            DistError::IncompleteIteration { loop_index } => {
-                write!(f, "loop {loop_index}: iteration partition incomplete")
-            }
-            DistError::IterationNotDisjoint { loop_index } => {
-                write!(
-                    f,
-                    "loop {loop_index}: centered reductions need a disjoint iteration partition"
-                )
-            }
-            DistError::ReductionNotDisjoint { loop_index, access } => {
-                write!(f, "loop {loop_index}: reduction partition for {access:?} not disjoint")
-            }
+            DistError::Shape(e) => write!(f, "{e}"),
             DistError::Legality(v) => write!(f, "distributed legality violation: {v}"),
             DistError::PlanIllegal(e) => write!(f, "plan-level legality proof failed: {e}"),
             DistError::RankPanic { rank, message } => {
@@ -498,56 +454,14 @@ impl From<ExchangeError> for DistError {
     }
 }
 
-/// Executes every loop of `program` in SPMD fashion over
-/// [`DistOptions::n_ranks`] ranks and gathers the owned shards back into
-/// `store`. Results are bit-identical to the sequential interpreter.
+/// Executes every loop of `program` in SPMD fashion over the ranks of the
+/// exchange plan `xplan` and gathers the owned shards back into `store`.
+/// Results are bit-identical to the sequential interpreter.
 ///
 /// `parts` must be `plan.evaluate(...)` output, exactly as for the
-/// threaded executor.
-pub fn execute_dist(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    store: &mut Store,
-    fns: &FnTable,
-    opts: &DistOptions,
-) -> Result<DistReport, DistError> {
-    execute_dist_full(program, plan, parts, store, fns, opts).map(|o| o.report)
-}
-
-/// [`execute_dist`] returning the full [`DistOutcome`]: the report plus
-/// the cross-rank timeline and the volume accounting.
-pub fn execute_dist_full(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    store: &mut Store,
-    fns: &FnTable,
-    opts: &DistOptions,
-) -> Result<DistOutcome, DistError> {
-    validate(program, plan, parts, store.schema(), opts)?;
-    let placed = place(plan, parts, store.schema(), opts.n_ranks, &opts.placement)?;
-    let mut outcome =
-        execute_with_exchange_full(program, plan, parts, &placed.xplan, store, fns, opts)?;
-    outcome.placement = Some(placed.report);
-    Ok(outcome)
-}
-
-/// [`execute_dist`] with a precomputed exchange plan (the plan depends only
-/// on the partitions and rank count, so repeated executions reuse it).
-pub fn execute_with_exchange(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    xplan: &ExchangePlan,
-    store: &mut Store,
-    fns: &FnTable,
-    opts: &DistOptions,
-) -> Result<DistReport, DistError> {
-    execute_with_exchange_full(program, plan, parts, xplan, store, fns, opts).map(|o| o.report)
-}
-
-/// [`execute_dist_full`] with a precomputed exchange plan.
+/// threaded executor, and `xplan` must be derived from them (it depends
+/// only on the partitions, the rank count and the placement, so repeated
+/// executions reuse it).
 pub fn execute_with_exchange_full(
     program: &[Loop],
     plan: &ParallelPlan,
@@ -560,10 +474,12 @@ pub fn execute_with_exchange_full(
     let vt = Instant::now();
     {
         let vspan = partir_obs::span("dist.validate");
-        validate(program, plan, parts, store.schema(), opts)?;
+        validate_shape(program, plan, parts, store.schema(), opts.legality != LegalityMode::Off)
+            .map_err(DistError::Shape)?;
         drop(vspan);
     }
     let validate_ns = vt.elapsed().as_nanos() as u64;
+    let setups: Vec<LoopSetup> = plan.loops.iter().map(|l| LoopSetup::resolve(l, parts)).collect();
     // Plan-level legality: prove `accessed ⊆ owned ∪ ghosts` once, by
     // interval set-containment, instead of re-deriving it per element on
     // the hot path. Element mode proves too — the per-element checks then
@@ -614,8 +530,7 @@ pub fn execute_with_exchange_full(
         let base_store: &Store = restored.as_ref().unwrap_or(store);
         let attempt = run_attempt(
             program,
-            plan,
-            parts,
+            &setups,
             &cur_xplan,
             base_store,
             &schema,
@@ -814,7 +729,7 @@ pub fn execute_with_exchange_full(
         ("messages", report.messages.into()),
         ("bytes_sent", report.bytes_sent.into()),
     ]);
-    Ok(DistOutcome { report, trace, volume, validate_ns, lost_ranks, placement: None })
+    Ok(DistOutcome { report, trace, volume, validate_ns, lost_ranks })
 }
 
 /// One rank's gathered result: owned shards, stats, and its timeline.
@@ -839,8 +754,7 @@ struct AttemptResult {
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
     program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
+    setups: &[LoopSetup<'_>],
     xplan: &ExchangePlan,
     base_store: &Store,
     schema: &Schema,
@@ -907,8 +821,7 @@ fn run_attempt(
                     rank::rank_main(
                         r,
                         program,
-                        plan,
-                        parts,
+                        setups,
                         xplan,
                         schema,
                         fns,
@@ -966,114 +879,12 @@ fn run_attempt(
     })
 }
 
-/// Up-front validation: the same plan/partition invariants the threaded
-/// executor enforces, as typed errors before any rank spawns.
-fn validate(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    schema: &Schema,
-    opts: &DistOptions,
-) -> Result<(), DistError> {
-    if plan.loops.len() != program.len() {
-        return Err(DistError::PlanMismatch {
-            plan_loops: plan.loops.len(),
-            program_loops: program.len(),
-        });
-    }
-    let width = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
-    for (pi, p) in parts.iter().enumerate() {
-        if p.num_subregions() != width {
-            return Err(DistError::PartitionWidthMismatch {
-                part: pi,
-                expected: width,
-                got: p.num_subregions(),
-            });
-        }
-    }
-    let check_part = |li: usize, part: usize| -> Result<(), DistError> {
-        if part >= parts.len() {
-            return Err(DistError::PartitionIndexOutOfBounds {
-                loop_index: li,
-                part,
-                len: parts.len(),
-            });
-        }
-        Ok(())
-    };
-    let check_bounds = |li: usize, part: usize, region: RegionId| -> Result<(), DistError> {
-        if opts.legality == LegalityMode::Off {
-            return Ok(());
-        }
-        let size = schema.region_size(region);
-        for sub in parts[part].subregions() {
-            if let Some(m) = sub.max() {
-                if m >= size {
-                    return Err(DistError::PartitionExceedsRegion {
-                        loop_index: li,
-                        part,
-                        index: m,
-                        size,
-                    });
-                }
-            }
-        }
-        Ok(())
-    };
-    for (li, lplan) in plan.loops.iter().enumerate() {
-        check_part(li, lplan.iter.0 as usize)?;
-        check_bounds(li, lplan.iter.0 as usize, program[li].region)?;
-        let iter = &parts[lplan.iter.0 as usize];
-        if !iter.is_complete(schema.region_size(program[li].region)) {
-            return Err(DistError::IncompleteIteration { loop_index: li });
-        }
-        if lplan.iter_must_be_disjoint && !iter.is_disjoint() {
-            return Err(DistError::IterationNotDisjoint { loop_index: li });
-        }
-        for (ai, ap) in lplan.accesses.iter().enumerate() {
-            check_part(li, ap.part.0 as usize)?;
-            check_bounds(li, ap.part.0 as usize, ap.region)?;
-            match &ap.reduce {
-                Some(PlannedReduce::Direct) | Some(PlannedReduce::Guarded)
-                    if !parts[ap.part.0 as usize].is_disjoint() =>
-                {
-                    return Err(DistError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-                Some(PlannedReduce::BufferedPrivate { private }) => {
-                    check_part(li, private.0 as usize)?;
-                    check_bounds(li, private.0 as usize, ap.region)?;
-                    if !parts[private.0 as usize].is_disjoint() {
-                        return Err(DistError::ReductionNotDisjoint {
-                            loop_index: li,
-                            access: AccessId(ai as u32),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(())
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use partir_core::eval::ExtBindings;
     use partir_core::pipeline::{auto_parallelize, Hints, Options};
+    use partir_core::placement::place;
     use partir_dpl::func::{FnDef, FnTable, IndexFn};
     use partir_dpl::region::{FieldId, FieldKind, Schema};
     use partir_ir::ast::{LoopBuilder, ReduceOp, VExpr};
@@ -1115,6 +926,19 @@ mod tests {
         (vec![stencil, scatter], fns, schema, store)
     }
 
+    /// Places the colors per `opts.placement` and runs on the result.
+    fn run(
+        program: &[Loop],
+        plan: &ParallelPlan,
+        parts: &[Arc<Partition>],
+        store: &mut Store,
+        fns: &FnTable,
+        opts: &DistOptions,
+    ) -> DistOutcome {
+        let placed = place(plan, parts, store.schema(), opts.n_ranks, &opts.placement).unwrap();
+        execute_with_exchange_full(program, plan, parts, &placed.xplan, store, fns, opts).unwrap()
+    }
+
     #[test]
     fn dist_matches_sequential_bit_for_bit() {
         for ranks in [1usize, 2, 3, 4, 8] {
@@ -1128,7 +952,7 @@ mod tests {
             let mut dist = seed.clone();
             let parts = plan.evaluate(&dist, &fns, ranks.max(2), &ExtBindings::new());
             let opts = DistOptions { n_ranks: ranks, ..DistOptions::default() };
-            let report = execute_dist(&program, &plan, &parts, &mut dist, &fns, &opts).unwrap();
+            let report = run(&program, &plan, &parts, &mut dist, &fns, &opts).report;
             assert_eq!(report.ranks, ranks as u64);
             for fi in 0..schema.num_fields() {
                 let f = FieldId(fi as u32);
@@ -1149,7 +973,7 @@ mod tests {
         let mut store = seed.clone();
         let parts = plan.evaluate(&store, &fns, 4, &ExtBindings::new());
         let opts = DistOptions { n_ranks: 4, ..DistOptions::default() };
-        let report = execute_dist(&program, &plan, &parts, &mut store, &fns, &opts).unwrap();
+        let report = run(&program, &plan, &parts, &mut store, &fns, &opts).report;
         assert!(report.bytes_sent > 0);
         assert!(
             report.bytes_sent < report.replication_bytes,
@@ -1172,7 +996,7 @@ mod tests {
             strict_volume: true,
             ..DistOptions::default()
         };
-        let outcome = execute_dist_full(&program, &plan, &parts, &mut store, &fns, &opts).unwrap();
+        let outcome = run(&program, &plan, &parts, &mut store, &fns, &opts);
         // Strict mode passed, so every pair is clean — and there is real
         // traffic to account for.
         assert!(!outcome.volume.pairs.is_empty());
@@ -1201,7 +1025,7 @@ mod tests {
         let mut store = seed.clone();
         let parts = plan.evaluate(&store, &fns, 2, &ExtBindings::new());
         let opts = DistOptions { n_ranks: 2, ..DistOptions::default() };
-        let outcome = execute_dist_full(&program, &plan, &parts, &mut store, &fns, &opts).unwrap();
+        let outcome = run(&program, &plan, &parts, &mut store, &fns, &opts);
         assert!(outcome.trace.is_none());
         assert!(outcome.volume.is_clean());
         assert!(!outcome.volume.pairs.is_empty());

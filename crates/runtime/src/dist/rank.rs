@@ -16,28 +16,27 @@
 //!    ascending global color order — reproducing the threaded executor's
 //!    deterministic merge bit-for-bit.
 //!
-//! The rank data context mirrors `exec::TaskCtx` exactly (guards, write
-//! ownership, buffered modes), with one addition: a global index that has
-//! no slot in the rank's sharded store *is* a distributed legality
-//! violation — the access escaped `owned ∪ ghosts`.
+//! The rank data context applies the same per-loop setup as `exec::TaskCtx`
+//! (guards, write ownership, buffered modes — see [`crate::setup`]), with
+//! one addition: a global index that has no slot in the rank's sharded
+//! store *is* a distributed legality violation — the access escaped
+//! `owned ∪ ghosts`.
 
 use super::fault::{CheckpointPolicy, DistFaultPlan, MAX_SEND_ATTEMPTS};
 use super::mailbox::{Mailbox, MailboxError, Msg, MsgKind};
 use super::store::RankStore;
 use super::{CheckpointStore, DistError, DistViolation};
+use crate::setup::{LoopSetup, Mode};
 use parking_lot::Mutex;
 use partir_core::exchange::{ExchangePlan, LoopExchange};
-use partir_core::pipeline::{LoopPlan, ParallelPlan, PlannedReduce};
-use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
+use partir_dpl::func::{FnId, FnTable, IndexSource};
 use partir_dpl::index_set::{Idx, IndexSet};
-use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, Schema};
 use partir_ir::ast::{AccessId, Loop, ReduceOp};
-use partir_ir::interp::{run_loop_over, DataCtx};
+use partir_ir::interp::{eval_fn, eval_multi, run_loop_over, DataCtx};
 use partir_obs::trace::{RankTracer, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A rank's gathered result: its owned shard of every F64 field, ready to
@@ -98,26 +97,12 @@ fn rec(
     }
 }
 
-/// Per-access execution mode (same resolution as the threaded executor).
-enum RankMode<'a> {
-    Plain,
-    Guarded,
-    Buffered,
-    BufferedPrivate { private: &'a Partition },
-}
-
 /// Everything one epoch's compute needs, bundled so color runs stay
 /// borrow-friendly.
 struct EpochEnv<'a> {
     rank: usize,
     lp: &'a Loop,
-    loop_plan: &'a LoopPlan,
-    parts: &'a [Arc<Partition>],
-    iter: &'a Partition,
-    write_own: Option<&'a Vec<IndexSet>>,
-    modes: Vec<RankMode<'a>>,
-    all_buf_sets: Vec<Vec<IndexSet>>,
-    buf_set_of_access: Vec<Option<usize>>,
+    setup: &'a LoopSetup<'a>,
     fns: &'a FnTable,
     schema: &'a Schema,
     check: bool,
@@ -130,8 +115,7 @@ struct EpochEnv<'a> {
 pub(crate) fn rank_main(
     rank: usize,
     program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
+    setups: &[LoopSetup<'_>],
     xplan: &ExchangePlan,
     schema: &Schema,
     fns: &FnTable,
@@ -183,8 +167,7 @@ pub(crate) fn rank_main(
             rank,
             li,
             lp,
-            &plan.loops[li],
-            parts,
+            &setups[li],
             xplan,
             &xplan.loops[li],
             schema,
@@ -228,8 +211,7 @@ fn run_epoch(
     rank: usize,
     li: usize,
     lp: &Loop,
-    loop_plan: &LoopPlan,
-    parts: &[Arc<Partition>],
+    setup: &LoopSetup<'_>,
     xplan: &ExchangePlan,
     lx: &LoopExchange,
     schema: &Schema,
@@ -247,65 +229,10 @@ fn run_epoch(
     let n_ranks = xplan.n_ranks;
     let n_colors = xplan.n_colors;
     let epoch = li as u64;
-    let iter: &Partition = &parts[loop_plan.iter.0 as usize];
-
-    // Buffer sets for two-step reductions, exactly as the threaded executor
-    // allocates them (full subregion for Buffered, shared remainder for
-    // BufferedPrivate).
-    let mut all_buf_sets: Vec<Vec<IndexSet>> = Vec::new();
-    let mut buf_set_of_access: Vec<Option<usize>> = vec![None; loop_plan.accesses.len()];
-    for (ai, ap) in loop_plan.accesses.iter().enumerate() {
-        match &ap.reduce {
-            Some(PlannedReduce::Buffered) => {
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(parts[ap.part.0 as usize].subregions().to_vec());
-            }
-            Some(PlannedReduce::BufferedPrivate { private }) => {
-                let part = &parts[ap.part.0 as usize];
-                let ppart = &parts[private.0 as usize];
-                let sets = part
-                    .subregions()
-                    .iter()
-                    .zip(ppart.subregions())
-                    .map(|(a, p)| a.difference(p))
-                    .collect();
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(sets);
-            }
-            _ => {}
-        }
-    }
-    let modes: Vec<RankMode> = loop_plan
-        .accesses
-        .iter()
-        .map(|ap| match &ap.reduce {
-            None | Some(PlannedReduce::Direct) => RankMode::Plain,
-            Some(PlannedReduce::Guarded) => RankMode::Guarded,
-            Some(PlannedReduce::Buffered) => RankMode::Buffered,
-            Some(PlannedReduce::BufferedPrivate { private }) => {
-                RankMode::BufferedPrivate { private: &parts[private.0 as usize] }
-            }
-        })
-        .collect();
     // bufs[bi][color]: task-local partial buffers, lazily identity-filled.
     let mut bufs: Vec<Vec<Option<Vec<f64>>>> =
-        all_buf_sets.iter().map(|_| vec![None; n_colors]).collect();
-    let env = EpochEnv {
-        rank,
-        lp,
-        loop_plan,
-        parts,
-        iter,
-        write_own: lx.write_own.as_ref(),
-        modes,
-        all_buf_sets,
-        buf_set_of_access,
-        fns,
-        schema,
-        check,
-        abort,
-        violation,
-    };
+        setup.buf_sets.iter().map(|_| vec![None; n_colors]).collect();
+    let env = EpochEnv { rank, lp, setup, fns, schema, check, abort, violation };
 
     // Phase 1: pack and push ghosts (owner-fresh loop-start values).
     let t = Instant::now();
@@ -430,7 +357,7 @@ fn run_epoch(
         store.pack(wb, &mut values);
         let mut flags = Vec::new();
         for route in &lx.routes {
-            let bi = env.buf_set_of_access[route.access].expect("route targets a buffered access");
+            let bi = setup.buffer_of(route.access).expect("route targets a buffered access");
             for &c in my_colors {
                 let Some((_, set)) = route.by_color[c].iter().find(|(d, _)| *d == dst) else {
                     continue;
@@ -439,7 +366,7 @@ fn run_epoch(
                 flags.push(present);
                 if present {
                     let buf = bufs[bi][c].as_ref().expect("checked above");
-                    let buf_set = &env.all_buf_sets[bi][c];
+                    let buf_set = &setup.buf_sets[bi][c];
                     values.extend(set.iter().map(|i| {
                         buf[buf_set.rank(i).expect("route slice within buffer set") as usize]
                     }));
@@ -525,7 +452,7 @@ fn run_epoch(
     // threaded executor's merge, restricted to the elements this rank owns.
     let t = Instant::now();
     for (ri, route) in lx.routes.iter().enumerate() {
-        let bi = env.buf_set_of_access[route.access].expect("route targets a buffered access");
+        let bi = setup.buffer_of(route.access).expect("route targets a buffered access");
         remote[ri].sort_by_key(|(c, _)| *c);
         for (c, slices) in route.by_color.iter().enumerate() {
             let Some((_, set)) = slices.iter().find(|(d, _)| *d == rank) else {
@@ -533,7 +460,7 @@ fn run_epoch(
             };
             if xplan.rank_of_color(c) == rank {
                 let Some(buf) = bufs[bi][c].as_ref() else { continue };
-                let buf_set = &env.all_buf_sets[bi][c];
+                let buf_set = &setup.buf_sets[bi][c];
                 for i in set.iter() {
                     let v = buf[buf_set.rank(i).expect("route slice within buffer set") as usize];
                     merge_apply(store, route.field, i, route.op, v);
@@ -650,15 +577,11 @@ fn run_color(
         store,
         fns: env.fns,
         schema: env.schema,
-        plan: env.loop_plan,
-        parts: env.parts,
-        modes: &env.modes,
+        setup: env.setup,
         color,
-        write_own: env.write_own.map(|o| &o[color]),
+        write_own: env.setup.write_own.as_ref().map(|o| &o[color]),
         check: env.check,
         bufs,
-        buf_set_of_access: &env.buf_set_of_access,
-        all_buf_sets: &env.all_buf_sets,
         checks_done: 0,
         guard_hits: 0,
         guard_skips: 0,
@@ -667,7 +590,7 @@ fn run_color(
         abort: env.abort,
         violation: env.violation,
     };
-    run_loop_over(env.lp, &mut ctx, env.iter.subregion(color).iter());
+    run_loop_over(env.lp, &mut ctx, env.setup.iter.subregion(color).iter());
     stats.tasks_run += 1;
     stats.legality_checks += ctx.checks_done;
     stats.guard_hits += ctx.guard_hits;
@@ -682,15 +605,11 @@ struct RankCtx<'a> {
     store: &'a mut RankStore,
     fns: &'a FnTable,
     schema: &'a Schema,
-    plan: &'a LoopPlan,
-    parts: &'a [Arc<Partition>],
-    modes: &'a [RankMode<'a>],
+    setup: &'a LoopSetup<'a>,
     color: usize,
     write_own: Option<&'a IndexSet>,
     check: bool,
     bufs: &'a mut [Vec<Option<Vec<f64>>>],
-    buf_set_of_access: &'a [Option<usize>],
-    all_buf_sets: &'a [Vec<IndexSet>],
     checks_done: u64,
     guard_hits: u64,
     guard_skips: u64,
@@ -701,21 +620,15 @@ struct RankCtx<'a> {
 }
 
 impl RankCtx<'_> {
-    #[inline]
-    fn subregion(&self, a: AccessId) -> &IndexSet {
-        let part = self.plan.accesses[a.0 as usize].part;
-        self.parts[part.0 as usize].subregion(self.color)
-    }
-
     /// Records a violation (subregion escape or non-resident access — the
     /// distributed legality check) and aborts the rank.
     #[cold]
     fn fail(&self, a: AccessId, i: Idx) -> ! {
         let v = DistViolation {
             rank: self.rank,
-            loop_id: self.plan.loop_index,
+            loop_id: self.setup.plan.loop_index,
             task: self.color,
-            region: self.plan.accesses[a.0 as usize].region,
+            region: self.setup.plan.accesses[a.0 as usize].region,
             index: i,
             access: a,
         };
@@ -732,7 +645,7 @@ impl RankCtx<'_> {
     fn check_access(&mut self, a: AccessId, i: Idx) {
         if self.check {
             self.checks_done += 1;
-            if !self.subregion(a).contains(i) {
+            if !self.setup.subregion(a, self.color).contains(i) {
                 self.fail(a, i);
             }
         }
@@ -748,9 +661,8 @@ impl RankCtx<'_> {
         }
     }
 
-    fn buffer_reduce(&mut self, a: AccessId, i: Idx, op: ReduceOp, v: f64) {
-        let bi = self.buf_set_of_access[a.0 as usize].expect("buffered access");
-        let set = &self.all_buf_sets[bi][self.color];
+    fn buffer_reduce(&mut self, a: AccessId, bi: usize, i: Idx, op: ReduceOp, v: f64) {
+        let set = &self.setup.buf_sets[bi][self.color];
         let rank = match set.rank(i) {
             Some(r) => r as usize,
             None => self.fail(a, i),
@@ -761,25 +673,6 @@ impl RankCtx<'_> {
         }
         let buf = self.bufs[bi][self.color].as_mut().expect("allocated above");
         buf[rank] = op.apply(buf[rank], v);
-    }
-
-    fn eval_index_fn(&self, f: &IndexFn, i: Idx, target_size: u64) -> Idx {
-        match f {
-            IndexFn::Identity => i,
-            IndexFn::Affine { mul, add } => {
-                let v = (i as i64) * mul + add;
-                assert!(v >= 0 && (v as u64) < target_size, "affine out of range");
-                v as Idx
-            }
-            IndexFn::AffineMod { mul, add, modulus } => {
-                ((i as i64) * mul + add).rem_euclid(*modulus as i64) as Idx
-            }
-            IndexFn::Ptr { field } => self.store.read_ptr(*field, i),
-            IndexFn::Compose(a, b) => {
-                let mid = self.eval_index_fn(a, i, u64::MAX);
-                self.eval_index_fn(b, mid, target_size)
-            }
-        }
     }
 }
 
@@ -806,29 +699,30 @@ impl DataCtx for RankCtx<'_> {
     }
 
     fn reduce_f64(&mut self, a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-        match &self.modes[a.0 as usize] {
-            RankMode::Plain => {
+        let setup = self.setup;
+        match &setup.modes[a.0 as usize] {
+            Mode::Plain => {
                 self.check_access(a, i);
                 self.in_place(a, field, i, op, v);
             }
-            RankMode::Guarded => {
-                if self.subregion(a).contains(i) {
+            Mode::Guarded => {
+                if self.setup.subregion(a, self.color).contains(i) {
                     self.guard_hits += 1;
                     self.in_place(a, field, i, op, v);
                 } else {
                     self.guard_skips += 1;
                 }
             }
-            RankMode::Buffered => {
+            Mode::Buffered { buf } => {
                 self.check_access(a, i);
-                self.buffer_reduce(a, i, op, v);
+                self.buffer_reduce(a, *buf, i, op, v);
             }
-            RankMode::BufferedPrivate { private } => {
+            Mode::BufferedPrivate { private, buf } => {
                 self.check_access(a, i);
                 if private.subregion(self.color).contains(i) {
                     self.in_place(a, field, i, op, v);
                 } else {
-                    self.buffer_reduce(a, i, op, v);
+                    self.buffer_reduce(a, *buf, i, op, v);
                 }
             }
         }
@@ -836,29 +730,18 @@ impl DataCtx for RankCtx<'_> {
 
     fn read_ptr(&mut self, a: AccessId, field: FieldId, i: Idx) -> Idx {
         self.check_access(a, i);
-        self.store.read_ptr(field, i)
+        self.store.ptr(field, i).expect("ptr read out of bounds")
     }
 
+    // Inlined into the interpreter loop: one call per neighbor index is
+    // the stencil's hot path.
+    #[inline]
     fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx {
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Index(func) => self.eval_index_fn(func, i, size),
-            FnDef::Multi(_) => panic!("eval_fn on multi-valued function"),
-        }
+        eval_fn(self.fns, self.schema, &*self.store, f, i)
     }
 
     fn eval_multi(&mut self, a: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>) {
         self.check_access(a, i);
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Multi(MultiFn::RangeField { field }) => {
-                let (s, e) = self.store.read_range(*field, i);
-                out.extend(s..e.min(size));
-            }
-            FnDef::Multi(MultiFn::Lift(func)) => out.push(self.eval_index_fn(func, i, size)),
-            FnDef::Index(func) => out.push(self.eval_index_fn(func, i, size)),
-        }
+        eval_multi(self.fns, self.schema, &*self.store, f, i, out)
     }
 }

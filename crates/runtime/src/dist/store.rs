@@ -23,6 +23,7 @@
 //! local slice.
 
 use partir_core::exchange::{ExchangePlan, FieldSets};
+use partir_dpl::func::IndexSource;
 use partir_dpl::index_set::{Idx, IndexSet};
 use partir_dpl::region::{FieldId, FieldKind, Store};
 
@@ -148,22 +149,6 @@ impl RankStore {
         }
     }
 
-    #[inline]
-    pub fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
-        match &self.fields[f.0 as usize] {
-            RankField::Ptr(v) => v[i as usize],
-            _ => panic!("field {f:?} is not Ptr"),
-        }
-    }
-
-    #[inline]
-    pub fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
-        match &self.fields[f.0 as usize] {
-            RankField::Range(v) => v[i as usize],
-            _ => panic!("field {f:?} is not Range"),
-        }
-    }
-
     /// Packs the values of `sets` (plan order: ascending field, ascending
     /// element) into `out`, returning how many elements were packed — one
     /// contiguous copy per run. Every run must be locally resident: the
@@ -247,6 +232,24 @@ impl RankStore {
                 fs[s as usize..e as usize].copy_from_slice(&vals[p..p + n]);
                 p += n;
             }
+        }
+    }
+}
+
+impl IndexSource for RankStore {
+    #[inline]
+    fn ptr(&self, f: FieldId, i: Idx) -> Option<Idx> {
+        match &self.fields[f.0 as usize] {
+            RankField::Ptr(v) => v.get(i as usize).copied(),
+            _ => panic!("field {f:?} is not Ptr"),
+        }
+    }
+
+    #[inline]
+    fn range(&self, f: FieldId, i: Idx) -> Option<(Idx, Idx)> {
+        match &self.fields[f.0 as usize] {
+            RankField::Range(v) => v.get(i as usize).copied(),
+            _ => panic!("field {f:?} is not Range"),
         }
     }
 }

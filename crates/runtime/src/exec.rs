@@ -29,16 +29,17 @@
 //!   main thread — so results stay bit-identical to the sequential
 //!   interpreter under any fault schedule.
 
-use crate::fault::{FaultPlan, InjectedPanic, RetryPolicy};
+use crate::fault::{panic_message, FaultPlan, InjectedPanic, RetryPolicy};
+use crate::setup::{validate_shape, LoopSetup, Mode, ShapeError};
 use crate::shared::SharedStore;
 use parking_lot::Mutex;
-use partir_core::pipeline::{LoopPlan, ParallelPlan, PlannedReduce};
-use partir_dpl::func::{FnDef, FnId, FnTable, IndexFn, MultiFn};
+use partir_core::pipeline::ParallelPlan;
+use partir_dpl::func::{FnId, FnTable, IndexSource};
 use partir_dpl::index_set::{Idx, IndexSet};
 use partir_dpl::partition::Partition;
 use partir_dpl::region::{FieldId, RegionId, Schema, Store};
 use partir_ir::ast::{AccessId, Loop, ReduceOp, Stmt};
-use partir_ir::interp::{run_loop_over, DataCtx};
+use partir_ir::interp::{eval_fn, eval_multi, run_loop_over, DataCtx};
 use partir_obs::json::Json;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,20 +152,8 @@ impl fmt::Display for LegalityViolation {
 /// Execution failure.
 #[derive(Debug)]
 pub enum ExecError {
-    /// The plan does not describe this program (loop counts differ).
-    PlanMismatch { plan_loops: usize, program_loops: usize },
-    /// A plan references a partition index outside the evaluated set.
-    PartitionIndexOutOfBounds { loop_index: usize, part: usize, len: usize },
-    /// Partitions disagree on the launch width (subregion counts differ).
-    PartitionWidthMismatch { part: usize, expected: usize, got: usize },
-    /// A partition contains element indices outside its region.
-    PartitionExceedsRegion { loop_index: usize, part: usize, index: Idx, size: u64 },
-    /// The iteration partition misses elements of the iteration space.
-    IncompleteIteration { loop_index: usize },
-    /// A loop with centered reductions got an aliased iteration partition.
-    IterationNotDisjoint { loop_index: usize },
-    /// A direct/guarded reduction partition is not disjoint.
-    ReductionNotDisjoint { loop_index: usize, access: AccessId },
+    /// The plan's partitions do not have the shape execution relies on.
+    Shape(ShapeError),
     /// A task accessed an element outside its subregion (legality check).
     Legality(LegalityViolation),
     /// A worker panicked (a genuine bug, not an injected fault).
@@ -178,36 +167,7 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::PlanMismatch { plan_loops, program_loops } => {
-                write!(f, "plan describes {plan_loops} loops but the program has {program_loops}")
-            }
-            ExecError::PartitionIndexOutOfBounds { loop_index, part, len } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition index {part} out of bounds ({len} evaluated)"
-                )
-            }
-            ExecError::PartitionWidthMismatch { part, expected, got } => {
-                write!(f, "partition {part} has {got} subregions, launch width is {expected}")
-            }
-            ExecError::PartitionExceedsRegion { loop_index, part, index, size } => {
-                write!(
-                    f,
-                    "loop {loop_index}: partition {part} contains element {index} outside its region (size {size})"
-                )
-            }
-            ExecError::IncompleteIteration { loop_index } => {
-                write!(f, "loop {loop_index}: iteration partition incomplete")
-            }
-            ExecError::IterationNotDisjoint { loop_index } => {
-                write!(
-                    f,
-                    "loop {loop_index}: centered reductions need a disjoint iteration partition"
-                )
-            }
-            ExecError::ReductionNotDisjoint { loop_index, access } => {
-                write!(f, "loop {loop_index}: reduction partition for {access:?} not disjoint")
-            }
+            ExecError::Shape(e) => write!(f, "{e}"),
             ExecError::Legality(v) => write!(f, "legality violation: {v}"),
             ExecError::TaskPanic(m) => write!(f, "task panicked: {m}"),
             ExecError::TaskFailed { loop_index, color, attempts } => {
@@ -225,24 +185,14 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Per-access execution mode with partition data resolved.
-enum Mode<'a> {
-    /// Plain read/write/centered-reduce/direct-reduce: access checked
-    /// against the subregion, effect applied in place.
-    Plain,
-    /// Relaxed guarded reduction: apply iff target in the subregion.
-    Guarded,
-    /// Buffered reduction over the per-color buffer set.
-    Buffered { buf_sets: &'a [IndexSet] },
-    /// Direct within `private`, buffered over `buf_sets` otherwise.
-    BufferedPrivate { private: &'a Partition, buf_sets: &'a [IndexSet] },
-}
-
 /// Executes every loop of `program` in order under `plan`.
 ///
 /// `parts` must be `plan.evaluate(...)` output (indexed by `PartId`); every
 /// partition must have the same number of subregions (the launch width).
-/// Both properties are validated up front and reported as typed errors.
+/// Both properties, and every other plan-shape invariant the unsafe shared
+/// store relies on, are validated before any loop runs and reported as
+/// typed errors instead of downstream panics, out-of-bounds raw-pointer
+/// arithmetic, or a store that earlier loops already mutated.
 pub fn execute_program(
     program: &[Loop],
     plan: &ParallelPlan,
@@ -253,7 +203,8 @@ pub fn execute_program(
 ) -> Result<ExecReport, ExecError> {
     {
         let vspan = partir_obs::span("exec.validate");
-        validate_plan(program, plan, parts, store.schema(), opts)?;
+        validate_shape(program, plan, parts, store.schema(), opts.check_legality)
+            .map_err(ExecError::Shape)?;
         drop(vspan);
     }
     let mut report = ExecReport::default();
@@ -275,78 +226,6 @@ pub fn execute_program(
     partir_obs::counter("exec.panics_isolated", report.panics_isolated);
     partir_obs::flush_counters();
     Ok(report)
-}
-
-/// Up-front validation of the plan/partition invariants the unsafe shared
-/// store relies on, as typed errors instead of downstream panics or (in
-/// release builds) out-of-bounds raw-pointer arithmetic.
-fn validate_plan(
-    program: &[Loop],
-    plan: &ParallelPlan,
-    parts: &[Arc<Partition>],
-    schema: &Schema,
-    opts: &ExecOptions,
-) -> Result<(), ExecError> {
-    if plan.loops.len() != program.len() {
-        return Err(ExecError::PlanMismatch {
-            plan_loops: plan.loops.len(),
-            program_loops: program.len(),
-        });
-    }
-    let width = parts.first().map(|p| p.num_subregions()).unwrap_or(0);
-    for (pi, p) in parts.iter().enumerate() {
-        if p.num_subregions() != width {
-            return Err(ExecError::PartitionWidthMismatch {
-                part: pi,
-                expected: width,
-                got: p.num_subregions(),
-            });
-        }
-    }
-    let check_part = |li: usize, part: usize| -> Result<(), ExecError> {
-        if part >= parts.len() {
-            return Err(ExecError::PartitionIndexOutOfBounds {
-                loop_index: li,
-                part,
-                len: parts.len(),
-            });
-        }
-        Ok(())
-    };
-    // Element-bounds validation walks every subregion, so it rides on the
-    // legality-checking switch (on for tests, off for benches).
-    let check_bounds = |li: usize, part: usize, region: RegionId| -> Result<(), ExecError> {
-        if !opts.check_legality {
-            return Ok(());
-        }
-        let size = schema.region_size(region);
-        for sub in parts[part].subregions() {
-            if let Some(m) = sub.max() {
-                if m >= size {
-                    return Err(ExecError::PartitionExceedsRegion {
-                        loop_index: li,
-                        part,
-                        index: m,
-                        size,
-                    });
-                }
-            }
-        }
-        Ok(())
-    };
-    for (li, lplan) in plan.loops.iter().enumerate() {
-        check_part(li, lplan.iter.0 as usize)?;
-        check_bounds(li, lplan.iter.0 as usize, program[li].region)?;
-        for ap in &lplan.accesses {
-            check_part(li, ap.part.0 as usize)?;
-            check_bounds(li, ap.part.0 as usize, ap.region)?;
-            if let Some(PlannedReduce::BufferedPrivate { private }) = &ap.reduce {
-                check_part(li, private.0 as usize)?;
-                check_bounds(li, private.0 as usize, ap.region)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Mutating access sites of a loop body: `(access, field, is_write)`.
@@ -374,36 +253,26 @@ struct TaskSnapshot<'a> {
 /// `None` when the site's effects are task-local (buffered reductions).
 fn effect_set<'a>(
     site: &(AccessId, FieldId, bool),
-    lplan: &LoopPlan,
-    parts: &'a [Arc<Partition>],
-    iter: &'a Partition,
-    write_own: Option<&'a Vec<IndexSet>>,
+    setup: &'a LoopSetup<'a>,
     color: usize,
 ) -> Option<&'a IndexSet> {
     let (access, _, is_write) = site;
-    let ap = &lplan.accesses[access.0 as usize];
+    let ap = &setup.plan.accesses[access.0 as usize];
     if *is_write {
         // Centered write: the task's iterations, narrowed to first-owner
         // elements when the iteration partition aliases.
-        return Some(match write_own {
+        return Some(match &setup.write_own {
             Some(own) => &own[color],
-            None => iter.subregion(color),
+            None => setup.iter.subregion(color),
         });
     }
     match &ap.reduce {
         // Centered reduction: disjoint iteration partition enforced.
-        None => Some(iter.subregion(color)),
-        // Direct/guarded effects land in the (disjoint) access partition.
-        Some(PlannedReduce::Direct) | Some(PlannedReduce::Guarded) => {
-            Some(parts[ap.part.0 as usize].subregion(color))
-        }
-        // Buffered contributions live in task-local buffers until the
-        // post-scope merge; a failed attempt just drops them.
-        Some(PlannedReduce::Buffered) => None,
-        // Only the private (disjoint) slice is mutated in place.
-        Some(PlannedReduce::BufferedPrivate { private }) => {
-            Some(parts[private.0 as usize].subregion(color))
-        }
+        None => Some(setup.iter.subregion(color)),
+        // Uncentered: only the disjoint in-place slice; buffered
+        // contributions live in task-local buffers until the post-scope
+        // merge, and a failed attempt just drops them.
+        Some(_) => ap.in_place_part().map(|p| setup.parts[p.0 as usize].subregion(color)),
     }
 }
 
@@ -415,15 +284,12 @@ fn effect_set<'a>(
 fn take_snapshot<'a>(
     shared: &SharedStore,
     sites: &[(AccessId, FieldId, bool)],
-    lplan: &LoopPlan,
-    parts: &'a [Arc<Partition>],
-    iter: &'a Partition,
-    write_own: Option<&'a Vec<IndexSet>>,
+    setup: &'a LoopSetup<'a>,
     color: usize,
 ) -> TaskSnapshot<'a> {
     let mut saved: Vec<(FieldId, &IndexSet, Vec<f64>)> = Vec::new();
     for site in sites {
-        let Some(set) = effect_set(site, lplan, parts, iter, write_own, color) else {
+        let Some(set) = effect_set(site, setup, color) else {
             continue;
         };
         let field = site.1;
@@ -469,9 +335,10 @@ fn execute_loop(
     ordinal_base: u64,
 ) -> Result<(), ExecError> {
     let loop_plan = &plan.loops[li];
-    let iter: &Partition = &parts[loop_plan.iter.0 as usize];
+    let setup = LoopSetup::resolve(loop_plan, parts);
+    let iter = setup.iter;
+    let write_own = setup.write_own.as_ref();
     let n_colors = iter.num_subregions();
-    let region_size = store.schema().region_size(lp.region);
     let tracing = partir_obs::trace_enabled();
     let loop_span = partir_obs::span_with(
         "exec.loop",
@@ -481,101 +348,14 @@ fn execute_loop(
             ("colors", n_colors.into()),
         ],
     );
-
-    // Dynamic validation of the partitioning invariants the plan relies on.
-    if !iter.is_complete(region_size) {
-        return Err(ExecError::IncompleteIteration { loop_index: li });
-    }
-    let iter_disjoint = iter.is_disjoint();
-    if loop_plan.iter_must_be_disjoint && !iter_disjoint {
-        return Err(ExecError::IterationNotDisjoint { loop_index: li });
-    }
-
-    // Write-ownership sets: with an aliased iteration partition, a centered
-    // write applies only in the first task owning the iteration.
-    let write_own: Option<Vec<IndexSet>> = if iter_disjoint {
-        None
-    } else {
-        let mut seen = IndexSet::new();
-        let own = iter
-            .iter()
-            .map(|s| {
-                let mine = s.difference(&seen);
-                seen = seen.union(s);
-                mine
-            })
-            .collect();
-        Some(own)
-    };
-
-    // Resolve per-access modes and allocate buffer sets.
-    let mut modes: Vec<Mode> = Vec::with_capacity(loop_plan.accesses.len());
-    // Buffer sets, owned out-of-line so `Mode` can borrow them.
-    let mut all_buf_sets: Vec<Vec<IndexSet>> = Vec::new();
-    let mut buf_set_of_access: Vec<Option<usize>> = vec![None; loop_plan.accesses.len()];
-    for (ai, ap) in loop_plan.accesses.iter().enumerate() {
-        let part = &parts[ap.part.0 as usize];
-        match &ap.reduce {
-            None | Some(PlannedReduce::Direct) => {
-                if matches!(ap.reduce, Some(PlannedReduce::Direct)) && !part.is_disjoint() {
-                    return Err(ExecError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-            }
-            Some(PlannedReduce::Guarded) => {
-                if !part.is_disjoint() {
-                    return Err(ExecError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-            }
-            Some(PlannedReduce::Buffered) => {
-                let sets: Vec<IndexSet> = part.subregions().to_vec();
-                report.buffer_bytes += sets.iter().map(|s| s.len() * 8).sum::<u64>();
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(sets);
-            }
-            Some(PlannedReduce::BufferedPrivate { private }) => {
-                let ppart = &parts[private.0 as usize];
-                if !ppart.is_disjoint() {
-                    return Err(ExecError::ReductionNotDisjoint {
-                        loop_index: li,
-                        access: AccessId(ai as u32),
-                    });
-                }
-                let sets: Vec<IndexSet> = part
-                    .subregions()
-                    .iter()
-                    .zip(ppart.subregions())
-                    .map(|(a, p)| a.difference(p))
-                    .collect();
-                let full_bytes = part.subregions().iter().map(|s| s.len() * 8).sum::<u64>();
-                let shared_bytes = sets.iter().map(|s| s.len() * 8).sum::<u64>();
-                report.buffer_bytes += shared_bytes;
-                report.private_buffer_bytes_saved += full_bytes - shared_bytes;
-                buf_set_of_access[ai] = Some(all_buf_sets.len());
-                all_buf_sets.push(sets);
-            }
+    let set_bytes = |sets: &[IndexSet]| sets.iter().map(|s| s.len() * 8).sum::<u64>();
+    for (ap, mode) in loop_plan.accesses.iter().zip(&setup.modes) {
+        if let Mode::Buffered { buf } | Mode::BufferedPrivate { buf, .. } = mode {
+            let shared_bytes = set_bytes(&setup.buf_sets[*buf]);
+            report.buffer_bytes += shared_bytes;
+            report.private_buffer_bytes_saved +=
+                set_bytes(parts[ap.part.0 as usize].subregions()) - shared_bytes;
         }
-    }
-    for (ai, ap) in loop_plan.accesses.iter().enumerate() {
-        let mode = match &ap.reduce {
-            None | Some(PlannedReduce::Direct) => Mode::Plain,
-            Some(PlannedReduce::Guarded) => Mode::Guarded,
-            Some(PlannedReduce::Buffered) => Mode::Buffered {
-                buf_sets: &all_buf_sets
-                    [buf_set_of_access[ai].expect("buffer set allocated in first pass")],
-            },
-            Some(PlannedReduce::BufferedPrivate { private }) => Mode::BufferedPrivate {
-                private: &parts[private.0 as usize],
-                buf_sets: &all_buf_sets
-                    [buf_set_of_access[ai].expect("buffer set allocated in first pass")],
-            },
-        };
-        modes.push(mode);
     }
 
     // Mutating sites (for effect-set snapshots); only needed under faults.
@@ -587,6 +367,7 @@ fn execute_loop(
         Vec::new()
     };
 
+    let all_buf_sets = &setup.buf_sets;
     // Buffers returned by tasks: buffers[buf_idx][color].
     let buffers: Vec<Vec<Mutex<Option<Vec<f64>>>>> =
         all_buf_sets.iter().map(|sets| sets.iter().map(|_| Mutex::new(None)).collect()).collect();
@@ -612,6 +393,23 @@ fn execute_loop(
     let next_color = AtomicUsize::new(0);
     let schema = store.schema().clone();
     let shared = SharedStore::new(store);
+    let new_ctx = |color: usize| TaskCtx {
+        shared: &shared,
+        fns,
+        schema: &schema,
+        setup: &setup,
+        color,
+        write_own: write_own.map(|o| &o[color]),
+        check: opts.check_legality,
+        local_bufs: all_buf_sets.iter().map(|_| Vec::new()).collect(),
+        buf_ops: &buf_ops,
+        buf_fields: &buf_fields,
+        checks_done: 0,
+        guard_hits: &guard_hits,
+        guard_skips: &guard_skips,
+        write_skips: &write_skips,
+        violation: &violation,
+    };
 
     let scope_result = crossbeam::scope(|s| {
         for _ in 0..opts.n_threads.max(1) {
@@ -627,17 +425,8 @@ fn execute_loop(
                     let sub = iter.subregion(color);
                     // Pre-attempt snapshot of the task's exclusive effect
                     // sets, so any failed attempt can roll back.
-                    let snapshot = opts.fault.map(|_| {
-                        take_snapshot(
-                            &shared,
-                            &mut_sites,
-                            loop_plan,
-                            parts,
-                            iter,
-                            write_own.as_ref(),
-                            color,
-                        )
-                    });
+                    let snapshot =
+                        opts.fault.map(|_| take_snapshot(&shared, &mut_sites, &setup, color));
                     let mut attempt: u32 = 0;
                     let outcome = loop {
                         let injection = opts.fault.and_then(|fp| {
@@ -654,26 +443,7 @@ fn execute_loop(
                         // (rolled back below) and task-local buffers (moved
                         // out only on success, dropped by the unwind).
                         let result = catch_unwind(AssertUnwindSafe(|| {
-                            let mut ctx = TaskCtx {
-                                shared: &shared,
-                                fns,
-                                schema: &schema,
-                                plan: loop_plan,
-                                parts,
-                                modes: &modes,
-                                color,
-                                write_own: write_own.as_ref().map(|o| &o[color]),
-                                check: opts.check_legality,
-                                local_bufs: all_buf_sets.iter().map(|_| Vec::new()).collect(),
-                                buf_set_of_access: &buf_set_of_access,
-                                buf_ops: &buf_ops,
-                                buf_fields: &buf_fields,
-                                checks_done: 0,
-                                guard_hits: &guard_hits,
-                                guard_skips: &guard_skips,
-                                write_skips: &write_skips,
-                                violation: &violation,
-                            };
+                            let mut ctx = new_ctx(color);
                             let t_task =
                                 if tracing { Some(std::time::Instant::now()) } else { None };
                             let killed = match injection {
@@ -816,26 +586,7 @@ fn execute_loop(
     }
     for color in failed_colors {
         let recovery = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = TaskCtx {
-                shared: &shared,
-                fns,
-                schema: &schema,
-                plan: loop_plan,
-                parts,
-                modes: &modes,
-                color,
-                write_own: write_own.as_ref().map(|o| &o[color]),
-                check: opts.check_legality,
-                local_bufs: all_buf_sets.iter().map(|_| Vec::new()).collect(),
-                buf_set_of_access: &buf_set_of_access,
-                buf_ops: &buf_ops,
-                buf_fields: &buf_fields,
-                checks_done: 0,
-                guard_hits: &guard_hits,
-                guard_skips: &guard_skips,
-                write_skips: &write_skips,
-                violation: &violation,
-            };
+            let mut ctx = new_ctx(color);
             run_loop_over(lp, &mut ctx, iter.subregion(color).iter());
             (ctx.checks_done, ctx.local_bufs)
         }));
@@ -910,33 +661,18 @@ fn execute_loop(
     Ok(())
 }
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if p.downcast_ref::<InjectedPanic>().is_some() {
-        "injected fault".to_string()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
 /// Task-local data context: all region traffic from one task.
 struct TaskCtx<'a> {
     shared: &'a SharedStore,
     fns: &'a FnTable,
     schema: &'a Schema,
-    plan: &'a partir_core::pipeline::LoopPlan,
-    parts: &'a [Arc<Partition>],
-    modes: &'a [Mode<'a>],
+    setup: &'a LoopSetup<'a>,
     color: usize,
     write_own: Option<&'a IndexSet>,
     check: bool,
     /// Task-local reduction buffers, one per buffered access (lazily
     /// identity-filled on first use).
     local_bufs: Vec<Vec<f64>>,
-    buf_set_of_access: &'a [Option<usize>],
     buf_ops: &'a [Mutex<Option<ReduceOp>>],
     buf_fields: &'a [Mutex<Option<FieldId>>],
     /// Legality checks this task performed (plain counter, merged into the
@@ -951,18 +687,12 @@ struct TaskCtx<'a> {
 }
 
 impl TaskCtx<'_> {
-    #[inline]
-    fn subregion(&self, a: AccessId) -> &IndexSet {
-        let part = self.plan.accesses[a.0 as usize].part;
-        self.parts[part.0 as usize].subregion(self.color)
-    }
-
     #[cold]
     fn legality_violation(&self, a: AccessId, i: Idx) -> ! {
         let v = LegalityViolation {
-            loop_id: self.plan.loop_index,
+            loop_id: self.setup.plan.loop_index,
             task: self.color,
-            region: self.plan.accesses[a.0 as usize].region,
+            region: self.setup.plan.accesses[a.0 as usize].region,
             index: i,
             access: a,
         };
@@ -978,27 +708,8 @@ impl TaskCtx<'_> {
     fn check_access(&mut self, a: AccessId, i: Idx) {
         if self.check {
             self.checks_done += 1;
-            if !self.subregion(a).contains(i) {
+            if !self.setup.subregion(a, self.color).contains(i) {
                 self.legality_violation(a, i);
-            }
-        }
-    }
-
-    fn eval_index_fn(&self, f: &IndexFn, i: Idx, target_size: u64) -> Idx {
-        match f {
-            IndexFn::Identity => i,
-            IndexFn::Affine { mul, add } => {
-                let v = (i as i64) * mul + add;
-                assert!(v >= 0 && (v as u64) < target_size, "affine out of range");
-                v as Idx
-            }
-            IndexFn::AffineMod { mul, add, modulus } => {
-                ((i as i64) * mul + add).rem_euclid(*modulus as i64) as Idx
-            }
-            IndexFn::Ptr { field } => self.shared.read_ptr(*field, i),
-            IndexFn::Compose(a, b) => {
-                let mid = self.eval_index_fn(a, i, u64::MAX);
-                self.eval_index_fn(b, mid, target_size)
             }
         }
     }
@@ -1025,8 +736,8 @@ impl DataCtx for TaskCtx<'_> {
     }
 
     fn reduce_f64(&mut self, a: AccessId, field: FieldId, i: Idx, op: ReduceOp, v: f64) {
-        let modes = self.modes;
-        match &modes[a.0 as usize] {
+        let setup = self.setup;
+        match &setup.modes[a.0 as usize] {
             Mode::Plain => {
                 self.check_access(a, i);
                 // Centered or provably-disjoint reduction: in-place.
@@ -1037,7 +748,7 @@ impl DataCtx for TaskCtx<'_> {
                 }
             }
             Mode::Guarded => {
-                if self.subregion(a).contains(i) {
+                if self.setup.subregion(a, self.color).contains(i) {
                     self.guard_hits.fetch_add(1, Ordering::Relaxed);
                     // SAFETY: the guard partition is disjoint.
                     unsafe {
@@ -1048,11 +759,11 @@ impl DataCtx for TaskCtx<'_> {
                     self.guard_skips.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Mode::Buffered { buf_sets } => {
+            Mode::Buffered { buf } => {
                 self.check_access(a, i);
-                self.buffer_reduce(a, field, i, op, v, &buf_sets[self.color]);
+                self.buffer_reduce(a, *buf, field, i, op, v);
             }
-            Mode::BufferedPrivate { private, buf_sets } => {
+            Mode::BufferedPrivate { private, buf } => {
                 self.check_access(a, i);
                 if private.subregion(self.color).contains(i) {
                     // SAFETY: private sub-partition is disjoint.
@@ -1061,7 +772,7 @@ impl DataCtx for TaskCtx<'_> {
                         self.shared.write_f64(field, i, op.apply(cur, v));
                     }
                 } else {
-                    self.buffer_reduce(a, field, i, op, v, &buf_sets[self.color]);
+                    self.buffer_reduce(a, *buf, field, i, op, v);
                 }
             }
         }
@@ -1069,30 +780,19 @@ impl DataCtx for TaskCtx<'_> {
 
     fn read_ptr(&mut self, a: AccessId, field: FieldId, i: Idx) -> Idx {
         self.check_access(a, i);
-        self.shared.read_ptr(field, i)
+        self.shared.ptr(field, i).expect("ptr read out of bounds")
     }
 
+    // Inlined into the interpreter loop: one call per neighbor index is
+    // the stencil's hot path.
+    #[inline]
     fn eval_fn(&mut self, f: FnId, i: Idx) -> Idx {
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Index(func) => self.eval_index_fn(func, i, size),
-            FnDef::Multi(_) => panic!("eval_fn on multi-valued function"),
-        }
+        eval_fn(self.fns, self.schema, self.shared, f, i)
     }
 
     fn eval_multi(&mut self, a: AccessId, f: FnId, i: Idx, out: &mut Vec<Idx>) {
         self.check_access(a, i);
-        let nf = self.fns.get(f);
-        let size = self.schema.region_size(nf.range);
-        match &nf.def {
-            FnDef::Multi(MultiFn::RangeField { field }) => {
-                let (s, e) = self.shared.read_range(*field, i);
-                out.extend(s..e.min(size));
-            }
-            FnDef::Multi(MultiFn::Lift(func)) => out.push(self.eval_index_fn(func, i, size)),
-            FnDef::Index(func) => out.push(self.eval_index_fn(func, i, size)),
-        }
+        eval_multi(self.fns, self.schema, self.shared, f, i, out)
     }
 }
 
@@ -1100,13 +800,13 @@ impl TaskCtx<'_> {
     fn buffer_reduce(
         &mut self,
         a: AccessId,
+        bi: usize,
         field: FieldId,
         i: Idx,
         op: ReduceOp,
         v: f64,
-        set: &IndexSet,
     ) {
-        let bi = self.buf_set_of_access[a.0 as usize].expect("buffered access");
+        let set = &self.setup.buf_sets[bi][self.color];
         let buf = &mut self.local_bufs[bi];
         if buf.is_empty() {
             buf.resize(set.len() as usize, op.identity());

@@ -151,6 +151,20 @@ pub(crate) fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
     mix(mix(mix(mix(a) ^ b) ^ c) ^ d)
 }
 
+/// The message of a caught panic payload, for the executors' typed
+/// task-panic errors.
+pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if p.downcast_ref::<InjectedPanic>().is_some() {
+        "injected fault".to_string()
+    } else {
+        "unknown panic".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,6 +20,7 @@
 //! Under those invariants no two tasks access the same `f64` element with a
 //! write involved, which is exactly Rust's no-data-race requirement.
 
+use partir_dpl::func::IndexSource;
 use partir_dpl::index_set::Idx;
 use partir_dpl::region::{FieldData, FieldId, Store};
 
@@ -89,26 +90,27 @@ impl SharedStore {
             _ => panic!("field {f:?} is not F64"),
         }
     }
+}
 
-    /// Reads a pointer-field element (never written during parallel phases).
+impl IndexSource for SharedStore {
     #[inline]
-    pub fn read_ptr(&self, f: FieldId, i: Idx) -> Idx {
+    fn ptr(&self, f: FieldId, i: Idx) -> Option<Idx> {
         match &self.fields[f.0 as usize] {
+            // SAFETY: in bounds by the check; pointer fields are never
+            // written during parallel phases, so the read races with nothing.
             RawField::Ptr { ptr, len } => {
-                assert!((i as usize) < *len, "ptr read out of bounds");
-                unsafe { *ptr.add(i as usize) }
+                ((i as usize) < *len).then(|| unsafe { *ptr.add(i as usize) })
             }
             _ => panic!("field {f:?} is not Ptr"),
         }
     }
 
-    /// Reads a range-field element (never written during parallel phases).
     #[inline]
-    pub fn read_range(&self, f: FieldId, i: Idx) -> (Idx, Idx) {
+    fn range(&self, f: FieldId, i: Idx) -> Option<(Idx, Idx)> {
         match &self.fields[f.0 as usize] {
+            // SAFETY: as for `ptr` — in bounds, and never written in parallel.
             RawField::Range { ptr, len } => {
-                assert!((i as usize) < *len, "range read out of bounds");
-                unsafe { *ptr.add(i as usize) }
+                ((i as usize) < *len).then(|| unsafe { *ptr.add(i as usize) })
             }
             _ => panic!("field {f:?} is not Range"),
         }
@@ -136,8 +138,8 @@ mod tests {
                 shared.write_f64(fv, 0, 7.5);
                 assert_eq!(shared.read_f64(fv, 0), 7.5);
             }
-            assert_eq!(shared.read_ptr(fp, 2), 3);
-            assert_eq!(shared.read_range(fr, 1), (1, 4));
+            assert_eq!(shared.ptr(fp, 2), Some(3));
+            assert_eq!(shared.range(fr, 1), Some((1, 4)));
         }
         assert_eq!(store.f64s(fv)[0], 7.5);
     }

@@ -464,7 +464,7 @@ pub fn simulate(spec: &SimSpec, machine: &MachineModel) -> Result<SimResult, Sim
             // ownership.
             for acc in &lp.accesses {
                 if matches!(acc.kind, SimKind::Write) {
-                    home.insert(acc.region, disjointify(&acc.part));
+                    home.insert(acc.region, acc.part.first_owner_split());
                 }
             }
         }
@@ -672,19 +672,6 @@ fn scatter(
             }
         }
     }
-}
-
-/// Makes a (possibly aliased) partition disjoint by first-owner claim, so
-/// it can serve as a home distribution.
-fn disjointify(p: &Partition) -> Vec<IndexSet> {
-    let mut seen = IndexSet::new();
-    p.iter()
-        .map(|s| {
-            let mine = s.difference(&seen);
-            seen = seen.union(s);
-            mine
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -365,3 +365,43 @@ fn legality_violation_detected() {
         other => panic!("expected a structured legality violation, got {other}"),
     }
 }
+
+/// Plan-shape errors fire before any loop runs: with the second loop's
+/// iteration partition made incomplete, the run fails and the first loop
+/// has not touched the store.
+#[test]
+fn shape_error_in_a_later_loop_leaves_the_store_untouched() {
+    let mut schema = Schema::new();
+    let r = schema.add_region("R", 12);
+    let s_ = schema.add_region("S", 8);
+    let rx = schema.add_field(r, "x", FieldKind::F64);
+    let sx = schema.add_field(s_, "x", FieldKind::F64);
+    let fns = FnTable::new();
+    let mut store = Store::new(schema.clone());
+    for (k, v) in store.f64s_mut(rx).iter_mut().enumerate() {
+        *v = k as f64;
+    }
+    let mut b = LoopBuilder::new("double_r", r);
+    let i = b.loop_var();
+    let v = b.val_read(r, rx, i);
+    b.val_write(r, rx, i, VExpr::mul(VExpr::Const(2.0), VExpr::var(v)));
+    let mut b2 = LoopBuilder::new("bump_s", s_);
+    let j = b2.loop_var();
+    b2.val_write(s_, sx, j, VExpr::Const(1.0));
+    let program = vec![b.finish(), b2.finish()];
+    let plan =
+        auto_parallelize(&program, &fns, &schema, &Hints::new(), Options::default()).unwrap();
+    let mut parts = plan.evaluate(&store, &fns, 2, &ExtBindings::new());
+    let pi = plan.loops[1].iter.0 as usize;
+    assert_ne!(pi, plan.loops[0].iter.0 as usize, "the loops iterate different partitions");
+    let missing = partir_dpl::index_set::IndexSet::from_range(0, 1);
+    let subs = parts[pi].subregions().iter().map(|s| s.difference(&missing)).collect();
+    parts[pi] = std::sync::Arc::new(partir_dpl::partition::Partition::new(s_, subs));
+
+    let before = store.clone();
+    let err = execute_program(&program, &plan, &parts, &mut store, &fns, &ExecOptions::default())
+        .unwrap_err();
+    assert_eq!(err.to_string(), "loop 1: iteration partition incomplete");
+    assert_eq!(store.f64s(rx), before.f64s(rx), "loop 0 ran before the shape check");
+    assert_eq!(store.f64s(sx), before.f64s(sx));
+}

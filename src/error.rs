@@ -14,6 +14,7 @@ use partir_core::pipeline::AutoError;
 use partir_core::solve::SolveError;
 use partir_runtime::dist::DistError;
 use partir_runtime::exec::ExecError;
+use partir_runtime::setup::ShapeError;
 use partir_runtime::sim::SimError;
 use std::fmt;
 
@@ -92,13 +93,7 @@ impl Error {
             Error::Solve(SolveError::Unsatisfiable) => "solve.unsatisfiable",
             Error::Exchange(e) => exchange_code(e),
             Error::Exec(e) => match e {
-                ExecError::PlanMismatch { .. } => "exec.plan_mismatch",
-                ExecError::PartitionIndexOutOfBounds { .. } => "exec.partition_index_out_of_bounds",
-                ExecError::PartitionWidthMismatch { .. } => "exec.partition_width_mismatch",
-                ExecError::PartitionExceedsRegion { .. } => "exec.partition_exceeds_region",
-                ExecError::IncompleteIteration { .. } => "exec.incomplete_iteration",
-                ExecError::IterationNotDisjoint { .. } => "exec.iteration_not_disjoint",
-                ExecError::ReductionNotDisjoint { .. } => "exec.reduction_not_disjoint",
+                ExecError::Shape(s) => shape_codes(s).0,
                 ExecError::Legality(_) => "exec.legality",
                 ExecError::TaskPanic(_) => "exec.task_panic",
                 ExecError::TaskFailed { .. } => "exec.task_failed",
@@ -108,13 +103,7 @@ impl Error {
                 // Exchange derivation keeps its own code family even when
                 // reached through the distributed entry point.
                 DistError::Exchange(x) => exchange_code(x),
-                DistError::PlanMismatch { .. } => "dist.plan_mismatch",
-                DistError::PartitionIndexOutOfBounds { .. } => "dist.partition_index_out_of_bounds",
-                DistError::PartitionWidthMismatch { .. } => "dist.partition_width_mismatch",
-                DistError::PartitionExceedsRegion { .. } => "dist.partition_exceeds_region",
-                DistError::IncompleteIteration { .. } => "dist.incomplete_iteration",
-                DistError::IterationNotDisjoint { .. } => "dist.iteration_not_disjoint",
-                DistError::ReductionNotDisjoint { .. } => "dist.reduction_not_disjoint",
+                DistError::Shape(s) => shape_codes(s).1,
                 DistError::Legality(_) => "dist.legality",
                 DistError::PlanIllegal(_) => "dist.plan_illegal",
                 DistError::RankPanic { .. } => "dist.rank_panic",
@@ -137,6 +126,32 @@ impl Error {
                 ServeError::Internal(_) => "serve.internal",
             },
             Error::Cache(CacheError::Poisoned) => "cache.poisoned",
+        }
+    }
+}
+
+/// The `(threads, ranks)` codes of a plan-shape failure: both backends
+/// run the one shape check, and each keeps its own code family.
+fn shape_codes(e: &ShapeError) -> (&'static str, &'static str) {
+    match e {
+        ShapeError::PlanMismatch { .. } => ("exec.plan_mismatch", "dist.plan_mismatch"),
+        ShapeError::PartitionIndexOutOfBounds { .. } => {
+            ("exec.partition_index_out_of_bounds", "dist.partition_index_out_of_bounds")
+        }
+        ShapeError::PartitionWidthMismatch { .. } => {
+            ("exec.partition_width_mismatch", "dist.partition_width_mismatch")
+        }
+        ShapeError::PartitionExceedsRegion { .. } => {
+            ("exec.partition_exceeds_region", "dist.partition_exceeds_region")
+        }
+        ShapeError::IncompleteIteration { .. } => {
+            ("exec.incomplete_iteration", "dist.incomplete_iteration")
+        }
+        ShapeError::IterationNotDisjoint { .. } => {
+            ("exec.iteration_not_disjoint", "dist.iteration_not_disjoint")
+        }
+        ShapeError::ReductionNotDisjoint { .. } => {
+            ("exec.reduction_not_disjoint", "dist.reduction_not_disjoint")
         }
     }
 }
@@ -240,7 +255,16 @@ mod tests {
     /// One witness per variant family; every code must be registered.
     #[test]
     fn every_error_code_is_registered() {
-        let samples: Vec<Error> = vec![
+        let shapes = [
+            ShapeError::PlanMismatch { plan_loops: 1, program_loops: 2 },
+            ShapeError::PartitionIndexOutOfBounds { loop_index: 0, part: 9, len: 1 },
+            ShapeError::PartitionWidthMismatch { part: 0, expected: 2, got: 3 },
+            ShapeError::PartitionExceedsRegion { loop_index: 0, part: 0, index: 7, size: 4 },
+            ShapeError::IncompleteIteration { loop_index: 0 },
+            ShapeError::IterationNotDisjoint { loop_index: 0 },
+            ShapeError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) },
+        ];
+        let mut samples: Vec<Error> = vec![
             Error::Auto(AutoError::Unsatisfiable),
             Error::Solve(SolveError::Unsatisfiable),
             Error::Exchange(ExchangeError::NoRanks),
@@ -251,18 +275,6 @@ mod tests {
                 n_ranks: 2,
                 bad_rank: Some(9),
             }),
-            Error::Exec(ExecError::PlanMismatch { plan_loops: 1, program_loops: 2 }),
-            Error::Exec(ExecError::PartitionIndexOutOfBounds { loop_index: 0, part: 9, len: 1 }),
-            Error::Exec(ExecError::PartitionWidthMismatch { part: 0, expected: 2, got: 3 }),
-            Error::Exec(ExecError::PartitionExceedsRegion {
-                loop_index: 0,
-                part: 0,
-                index: 7,
-                size: 4,
-            }),
-            Error::Exec(ExecError::IncompleteIteration { loop_index: 0 }),
-            Error::Exec(ExecError::IterationNotDisjoint { loop_index: 0 }),
-            Error::Exec(ExecError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) }),
             Error::Exec(ExecError::Legality(partir_runtime::exec::LegalityViolation {
                 loop_id: 0,
                 task: 0,
@@ -274,18 +286,6 @@ mod tests {
             Error::Exec(ExecError::TaskFailed { loop_index: 0, color: 0, attempts: 3 }),
             Error::Exec(ExecError::BufferStateCorrupt { loop_index: 0 }),
             Error::Dist(DistError::Exchange(ExchangeError::NoRanks)),
-            Error::Dist(DistError::PlanMismatch { plan_loops: 1, program_loops: 2 }),
-            Error::Dist(DistError::PartitionIndexOutOfBounds { loop_index: 0, part: 9, len: 1 }),
-            Error::Dist(DistError::PartitionWidthMismatch { part: 0, expected: 2, got: 3 }),
-            Error::Dist(DistError::PartitionExceedsRegion {
-                loop_index: 0,
-                part: 0,
-                index: 7,
-                size: 4,
-            }),
-            Error::Dist(DistError::IncompleteIteration { loop_index: 0 }),
-            Error::Dist(DistError::IterationNotDisjoint { loop_index: 0 }),
-            Error::Dist(DistError::ReductionNotDisjoint { loop_index: 0, access: AccessId(0) }),
             Error::Dist(DistError::Legality(DistViolation {
                 rank: 0,
                 loop_id: 0,
@@ -323,6 +323,10 @@ mod tests {
             Error::Serve(ServeError::Internal("boom".into())),
             Error::Cache(CacheError::Poisoned),
         ];
+        for s in shapes {
+            samples.push(Error::Exec(ExecError::Shape(s.clone())));
+            samples.push(Error::Dist(DistError::Shape(s)));
+        }
         for e in &samples {
             let code = e.error_code();
             assert!(is_known_error_code(code), "unregistered error code {code} for {e:?}");

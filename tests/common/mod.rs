@@ -1,8 +1,9 @@
 //! Random-program generator shared by the property-test suites: two-region
 //! programs (pointer chains, affine neighbor maps, centered writes,
-//! uncentered reductions) over randomly populated stores. Every generated
-//! program is parallelizable — the properties assert what the pipeline
-//! does with it, not whether it bails.
+//! uncentered reductions, `ForEach` headers over a CSR-style range field
+//! and over a lifted affine map) over randomly populated stores. Every
+//! generated program is parallelizable — the properties assert what the
+//! pipeline does with it, not whether it bails.
 #![allow(dead_code)]
 
 use partir::prelude::*;
@@ -20,6 +21,11 @@ pub struct Cfg {
     pub reduce_via_affine: bool,
     pub second_loop: bool,
     pub ptr_seed: u64,
+    /// `for k in rows(i): A.sum[i] += B.val[k]` over a random range field.
+    pub foreach_range: bool,
+    /// `for k in step(i): B.acc[k] += A.val[i]` with the lifted
+    /// `step(i) = i + 2 : A -> B`, which has no image past `B`'s end.
+    pub foreach_lifted: bool,
 }
 
 pub fn arb_cfg() -> impl Strategy<Value = Cfg> {
@@ -33,6 +39,8 @@ pub fn arb_cfg() -> impl Strategy<Value = Cfg> {
         any::<bool>(),
         any::<bool>(),
         any::<u64>(),
+        any::<bool>(),
+        any::<bool>(),
     )
         .prop_map(
             |(
@@ -45,6 +53,8 @@ pub fn arb_cfg() -> impl Strategy<Value = Cfg> {
                 reduce_via_affine,
                 second_loop,
                 ptr_seed,
+                foreach_range,
+                foreach_lifted,
             )| Cfg {
                 n_a,
                 n_b,
@@ -55,6 +65,8 @@ pub fn arb_cfg() -> impl Strategy<Value = Cfg> {
                 reduce_via_affine,
                 second_loop,
                 ptr_seed,
+                foreach_range,
+                foreach_lifted,
             },
         )
 }
@@ -75,6 +87,14 @@ pub fn build(cfg: &Cfg) -> Built {
     let aout = schema.add_field(a_r, "out", FieldKind::F64);
     let bval = schema.add_field(b_r, "val", FieldKind::F64);
     let bacc = schema.add_field(b_r, "acc", FieldKind::F64);
+    // Declared last, and only when used, so programs without the range
+    // header keep their schema and store.
+    let rows = cfg.foreach_range.then(|| {
+        (
+            schema.add_field(a_r, "rows", FieldKind::Range(b_r)),
+            schema.add_field(a_r, "sum", FieldKind::F64),
+        )
+    });
 
     let mut fns = FnTable::new();
     let fptr = fns.add_ptr_field("A[.].ptr", a_r, b_r, ptr);
@@ -101,6 +121,12 @@ pub fn build(cfg: &Cfg) -> Built {
     }
     for v in store.f64s_mut(bval).iter_mut() {
         *v = rng.gen_range(0..32) as f64;
+    }
+    if let Some((rf, _)) = rows {
+        for r in store.ranges_mut(rf).iter_mut() {
+            let start = rng.gen_range(0..cfg.n_b);
+            *r = (start, (start + rng.gen_range(0..4u64)).min(cfg.n_b));
+        }
     }
 
     // Loop 1 over A: centered read, optional uncentered reads of B, a
@@ -130,6 +156,20 @@ pub fn build(cfg: &Cfg) -> Built {
     if cfg.reduce_via_affine {
         let bj = bld.idx_apply(faff_ab, i);
         bld.val_reduce(b_r, bacc, bj, ReduceOp::Add, VExpr::var(v0));
+    }
+    if let Some((rf, asum)) = rows {
+        let frows = fns.add_range_field("rows", a_r, b_r, rf);
+        let k = bld.begin_for_each(frows, i);
+        let bv = bld.val_read(b_r, bval, k);
+        bld.val_reduce(a_r, asum, i, ReduceOp::Add, VExpr::var(bv));
+        bld.end_for_each();
+    }
+    if cfg.foreach_lifted {
+        let step = MultiFn::Lift(IndexFn::Affine { mul: 1, add: 2 });
+        let fstep = fns.add("step", a_r, b_r, FnDef::Multi(step));
+        let k = bld.begin_for_each(fstep, i);
+        bld.val_reduce(b_r, bacc, k, ReduceOp::Add, VExpr::var(v0));
+        bld.end_for_each();
     }
     let l1 = bld.finish();
 

@@ -96,3 +96,45 @@ fn pennant_matches_on_all_rank_counts() {
     let a = Pennant::generate(&PennantParams { pieces: 4, zw: 6, zy: 6 });
     assert_dist_matches_seq("PENNANT", a.program, a.fns, a.store);
 }
+
+/// `for j in next(i): y[i] += x[j]` with the single-valued
+/// `next(i) = i + 1`: the header expands to `{i + 1}`, and to nothing at
+/// the last element, where `next` has no image. Both backends must skip
+/// that element exactly as the interpreter does, at every width.
+#[test]
+fn foreach_over_single_valued_fn_matches_on_both_backends() {
+    let mut schema = Schema::new();
+    let a = schema.add_region("A", 16);
+    let x = schema.add_field(a, "x", FieldKind::F64);
+    let y = schema.add_field(a, "y", FieldKind::F64);
+    let mut fns = FnTable::new();
+    let next = fns.add_affine("next", a, a, 1, 1);
+    let mut b = LoopBuilder::new("next_sum", a);
+    let i = b.loop_var();
+    let j = b.begin_for_each(next, i);
+    let v = b.val_read(a, x, j);
+    b.val_reduce(a, y, i, ReduceOp::Add, VExpr::var(v));
+    b.end_for_each();
+    let program = vec![b.finish()];
+    let mut store = Store::new(schema.clone());
+    for (k, v) in store.f64s_mut(x).iter_mut().enumerate() {
+        *v = k as f64 * 0.75 + 0.125;
+    }
+    let mut seq = store.clone();
+    run_program_seq(&program, &mut seq, &fns);
+
+    for width in rank_counts() {
+        let plan = Partir::new(program.clone(), fns.clone(), schema.clone())
+            .colors(width.max(4))
+            .solve()
+            .expect("the loop auto-parallelizes");
+        for backend in [Backend::Threads(width), Backend::Ranks(width)] {
+            let mut par = store.clone();
+            Run::new()
+                .backend(backend)
+                .run(&plan, &mut par)
+                .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
+            assert_eq!(seq.f64s(y), par.f64s(y), "{backend:?} diverged from the interpreter");
+        }
+    }
+}

@@ -19,7 +19,7 @@ use partir::core::eval::ExtBindings;
 use partir::core::exchange::derive_exchange;
 use partir::core::pipeline::{auto_parallelize, Hints, Options};
 use partir::prelude::*;
-use partir::runtime::dist::{execute_with_exchange, DistError, DistOptions, LegalityMode};
+use partir::runtime::dist::{execute_with_exchange_full, DistError, DistOptions, LegalityMode};
 
 fn stencil() -> Stencil {
     Stencil::generate(&StencilParams { nx: 48, ny: 32 })
@@ -83,8 +83,9 @@ fn corrupted_plan_is_rejected_by_prover_and_caught_by_residency_check() {
     // spawns, with the stable `dist.plan_illegal` error code.
     let mut store = a.store.clone();
     let opts = DistOptions { n_ranks: 4, legality: LegalityMode::Plan, ..DistOptions::default() };
-    let err = execute_with_exchange(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
-        .expect_err("the prover must reject a corrupted footprint");
+    let err =
+        execute_with_exchange_full(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
+            .expect_err("the prover must reject a corrupted footprint");
     assert!(matches!(err, DistError::PlanIllegal(_)), "got {err}");
     assert_eq!(partir::Error::from(err).error_code(), "dist.plan_illegal");
 
@@ -92,7 +93,8 @@ fn corrupted_plan_is_rejected_by_prover_and_caught_by_residency_check() {
     // never-shipped ghost element at runtime, as a structured violation.
     let mut store = a.store.clone();
     let opts = DistOptions { n_ranks: 4, legality: LegalityMode::Off, ..DistOptions::default() };
-    let err = execute_with_exchange(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
-        .expect_err("the residency check must catch the missing ghost");
+    let err =
+        execute_with_exchange_full(&a.program, &plan, &parts, &xplan, &mut store, &a.fns, &opts)
+            .expect_err("the residency check must catch the missing ghost");
     assert!(matches!(err, DistError::Legality(_)), "got {err}");
 }

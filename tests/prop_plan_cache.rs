@@ -150,6 +150,8 @@ fn repeated_warm_runs_stay_bit_identical() {
         reduce_via_affine: true,
         second_loop: true,
         ptr_seed: 7,
+        foreach_range: false,
+        foreach_lifted: false,
     };
     let built = build(&cfg);
     let cache = PlanCache::default();

@@ -54,6 +54,8 @@ fn chrome_trace_matches_golden() {
         reduce_via_affine: true,
         second_loop: true,
         ptr_seed: 7,
+        foreach_range: false,
+        foreach_lifted: false,
     };
     let built = build(&cfg);
     let plan = Partir::new(built.program.clone(), built.fns.clone(), built.store.schema().clone())
